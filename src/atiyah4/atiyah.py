@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import catalog
+from .linalg import gauss_jordan
 from .polyring import normalize_coeff
 
 Point3 = tuple[float, float, float]
@@ -240,23 +241,8 @@ def cayley_menger_det(u):
 
 
 def _det_exact(matrix):
-    work = [[Fraction(entry) for entry in row] for row in matrix]
-    n = len(work)
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = work[r][col] / pivot
-            if factor:
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return normalize_coeff(det)
+    rows, _, _, det = gauss_jordan(matrix)
+    return normalize_coeff(det) if len(rows) == len(matrix) else 0
 
 
 def is_geometric_candidate(u, tol: float = 1e-9) -> bool:
@@ -492,15 +478,6 @@ class SampleStats:
 
 def _config_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
-
-
-def iter_samples(
-    n: int, count: int, seed: int = 0, mode: str = "generic"
-) -> Iterator[tuple[int, list[Point3]]]:
-    """Yield (config_seed, points) pairs; each sample is independently seeded."""
-    for index in range(count):
-        config_seed = _config_seed(seed, index)
-        yield config_seed, sample_config(n, config_seed, mode)
 
 
 def run_samples(

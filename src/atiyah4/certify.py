@@ -28,8 +28,6 @@ from .symmetry import orbit_sum
 
 WORST_MONOMIALS_SHOWN = 10
 
-KNOWN_IDS = ("sec3-188/3", "eq42", "eq53")
-
 #: certificate id -> conventional file name inside a certificate directory
 CERT_FILES = {
     "sec3-188/3": "sec3.cert",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -47,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1e-8,
         metavar="T",
-        help="relative tolerance for numeric comparisons (default 1e-8)",
+        help="relative tolerance for numeric comparisons, finite and positive "
+        "(default 1e-8)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, metavar="S", help="campaign seed (default 0)"
@@ -235,10 +237,22 @@ def cmd_lp(args) -> dict:
     solution = lp.solve(problem)
     elapsed = time.perf_counter() - started
 
+    route = (
+        f"route {solution.route} ({solution.float_pivots} float + "
+        f"{solution.exact_pivots} exact pivots), certificate {solution.certificate}"
+    )
+    trace = {
+        "route": solution.route,
+        "float_pivots": solution.float_pivots,
+        "exact_pivots": solution.exact_pivots,
+        "certificate": solution.certificate,
+    }
     checks = []
     if solution.status != "optimal":
         checks.append(
-            _check_entry("lp", "fail", elapsed, f"solver status: {solution.status}")
+            _check_entry(
+                "lp", "fail", elapsed, f"solver status: {solution.status}; {route}", **trace
+            )
         )
     else:
         combo_ok = lp.combination_polynomial(basis, solution) == catalog.d4()
@@ -247,7 +261,7 @@ def cmd_lp(args) -> dict:
             f"alpha = {solution.objective} with {len(solution.support)} active "
             f"columns after {solution.pivots} pivots; matrix reconstruction "
             f"{'ok' if solution.reconstruction_ok else 'FAILED'}, polynomial "
-            f"reconstruction {'ok' if combo_ok else 'FAILED'}"
+            f"reconstruction {'ok' if combo_ok else 'FAILED'}; {route}"
         )
         checks.append(
             _check_entry(
@@ -257,6 +271,7 @@ def cmd_lp(args) -> dict:
                 detail,
                 alpha=str(solution.objective),
                 support={name: str(v) for name, v in sorted(solution.multipliers.items()) if v},
+                **trace,
             )
         )
 
@@ -359,6 +374,8 @@ def _print_report(report: dict, as_json: bool) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise UsageError(f"--tol must be a finite positive number, got {args.tol!r}")
         if args.command == "verify":
             report = cmd_verify(args)
         elif args.command == "lp":

@@ -4,29 +4,51 @@ The program: maximize alpha subject to d4 = alpha p4 + sum lambda_j f_j
 with every lambda_j >= 0, where the f_j are symmetric homogeneous
 degree-6 polynomials nonnegative on geometric input.  Matching
 coefficients monomial by monomial turns the polynomial constraint into
-ordinary linear equations, one per degree-6 monomial.
+ordinary linear equations, one per degree-6 monomial.  The free variable
+alpha is split into a difference of two nonnegative variables.
 
-Everything runs in Fraction arithmetic: the reported optima (32, 60,
-188/3, 64) are exact rational statements, not floating-point estimates.
-The solver is a two-phase primal simplex; the entering rule is
-largest-reduced-cost, dropping permanently to Bland's lowest-index rule
-whenever degenerate pivots stall, which preserves the no-cycling
-guarantee.  The free variable alpha is split into a difference of two
-nonnegative variables.
+The reported optima (32, 60, 188/3, 64) are exact rational statements,
+not floating-point estimates.  A solve takes three steps:
+
+1. Exact row reduction.  Orbit-duplicate rows are collapsed, then exact
+   elimination keeps a maximal independent set of the rows [row | rhs].
+   Every dropped row is an exact combination of the kept ones, right-hand
+   side included, so the feasible set does not change.
+2. Float basis.  The tableau simplex runs in float, with largest-
+   coefficient pricing, a zero tolerance and a pivot cap, to find a
+   candidate optimal basis B.
+3. Exact certificate.  B x = b and B^T y = c_B are solved in Fraction.
+   The result is accepted only if x >= 0, x reproduces d4 on every
+   monomial row, every column has nonpositive reduced cost under y (zero
+   on the basis) and b^T y = alpha.  By weak duality no feasible point has
+   a larger alpha, so optimality is proved, not taken on the float
+   solver's word.
+
+If any step fails (float status not optimal, pivot cap hit, singular
+basis, a failed check), the same tableau code runs over Fraction as an
+exact two-phase simplex on the deduplicated rows: largest-reduced-cost
+entering, dropping permanently to Bland's lowest-index rule whenever
+degenerate pivots stall, which preserves the no-cycling guarantee.
+"infeasible" and "unbounded" only ever come from this exact path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 from . import catalog
 from .catalog import enumerate_T, format_alpha
+from .linalg import gauss_jordan
 from .polyring import Coeff, Mono, Poly
 from .symmetry import sorted_mono_descending
 
 DEGREE = 6
+
+#: Tableau entries: Fraction in the exact simplex, float in the float pass.
+Num = Union[Fraction, float]
 
 
 @dataclass(frozen=True)
@@ -50,8 +72,12 @@ class LpSolution:
     objective: Fraction | None
     multipliers: dict[str, Fraction]
     support: tuple[str, ...]
-    pivots: int
+    pivots: int  # float_pivots + exact_pivots
     reconstruction_ok: bool
+    route: str  # "certified" | "exact-fallback"
+    float_pivots: int
+    exact_pivots: int
+    certificate: str  # "verified", or "rejected: <first failed condition>"
 
 
 @dataclass(frozen=True)
@@ -116,10 +142,20 @@ def _dedupe_rows(problem: LpProblem) -> tuple[list[tuple[Coeff, ...]], list[Coef
     return rows, rhs
 
 
-def _pivot(tableau: list[list[Fraction]], obj: list[Fraction], basis: list[int],
+def _independent_rows(rows: list[tuple[Coeff, ...]], rhs: list[Coeff]
+                      ) -> tuple[list[tuple[Coeff, ...]], list[Coeff]]:
+    # A maximal independent set of the rows [row | rhs], in their original
+    # order.  Every dropped row is an exact combination of the kept ones,
+    # right-hand side included, so the kept rows have the same solutions.
+    _, _, sources, _ = gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)])
+    keep = sorted(sources)
+    return [rows[i] for i in keep], [rhs[i] for i in keep]
+
+
+def _pivot(tableau: list[list[Num]], obj: list[Num], basis: list[int],
            row: int, col: int) -> None:
     pivot_row = tableau[row]
-    inv = Fraction(1) / pivot_row[col]
+    inv = 1 / pivot_row[col]
     if inv != 1:
         tableau[row] = pivot_row = [v * inv for v in pivot_row]
     for i, other in enumerate(tableau):
@@ -140,6 +176,14 @@ def _pivot(tableau: list[list[Fraction]], obj: list[Fraction], basis: list[int],
 #: from largest-coefficient to Bland's rule for the rest of the solve.
 DEGENERATE_STALL_LIMIT = 30
 
+#: Zero tolerance of the float pass: reduced costs and pivot candidates at
+#: or below it count as zero.  The float pass only proposes a basis, so the
+#: tolerance can cost speed (a rejected basis) but never correctness.
+FLOAT_TOL = 1e-9
+
+#: Pivots the float pass may take before the exact simplex takes over.
+FLOAT_PIVOT_CAP = 5000
+
 
 class _Pricer:
     """Entering-column rule: largest reduced cost,
@@ -147,29 +191,32 @@ class _Pricer:
     with a permanent switch to Bland's lowest-index rule once a run of
     degenerate (objective-preserving) pivots exceeds the stall limit.
     Bland's rule cannot cycle, so the hybrid always terminates while the
-    aggressive rule keeps the typical pivot count low.
+    aggressive rule keeps the typical pivot count low.  Without a stall
+    limit (the float pass) the rule stays largest-coefficient, and the
+    pivot cap bounds the run instead.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, stall_limit: int | None) -> None:
+        self.stall_limit = stall_limit
         self.bland = False
         self._stall = 0
 
     def note_pivot(self, improved: bool) -> None:
         if improved:
             self._stall = 0
-        elif not self.bland:
+        elif not self.bland and self.stall_limit is not None:
             self._stall += 1
-            if self._stall > DEGENERATE_STALL_LIMIT:
+            if self._stall > self.stall_limit:
                 self.bland = True
 
-    def choose(self, obj: list[Fraction], n_cols: int) -> int:
+    def choose(self, obj: list[Num], n_cols: int, tol: Num) -> int:
         if self.bland:
             for j in range(n_cols):
-                if obj[j] > 0:
+                if obj[j] > tol:
                     return j
             return -1
         best = -1
-        best_value = 0
+        best_value = tol
         for j in range(n_cols):
             value = obj[j]
             if value > best_value:
@@ -178,17 +225,17 @@ class _Pricer:
         return best
 
 
-def _simplex_step(tableau: list[list[Fraction]], obj: list[Fraction],
-                  basis: list[int], n_cols: int, pricer: _Pricer) -> str:
-    col = pricer.choose(obj, n_cols)
+def _simplex_step(tableau: list[list[Num]], obj: list[Num], basis: list[int],
+                  n_cols: int, pricer: _Pricer, tol: Num) -> str:
+    col = pricer.choose(obj, n_cols, tol)
     if col < 0:
         return "optimal"
     # Leaving: minimum ratio, ties broken by lowest basis variable index.
-    best_ratio: Fraction | None = None
+    best_ratio = None
     row = -1
     for i, tab_row in enumerate(tableau):
         coeff = tab_row[col]
-        if coeff > 0:
+        if coeff > tol:
             ratio = tab_row[-1] / coeff
             if best_ratio is None or ratio < best_ratio or (
                 ratio == best_ratio and basis[i] < basis[row]
@@ -203,55 +250,64 @@ def _simplex_step(tableau: list[list[Fraction]], obj: list[Fraction],
     return "pivoted"
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Two-phase exact simplex; deterministic for a fixed problem."""
-    rows, rhs = _dedupe_rows(problem)
+def _iterate(tableau: list[list[Num]], obj: list[Num], basis: list[int],
+             n_cols: int, tol: Num, stall_limit: int | None,
+             budget: float) -> tuple[str, int]:
+    """Pivot until optimal or unbounded, or until ``budget`` pivots are used."""
+    pricer = _Pricer(stall_limit)
+    done = 0
+    while done < budget:
+        state = _simplex_step(tableau, obj, basis, n_cols, pricer, tol)
+        if state != "pivoted":
+            return state, done
+        done += 1
+    return "pivot cap", done
+
+
+def _simplex(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], num: type = Fraction,
+             tol: Num = 0, stall_limit: int | None = DEGENERATE_STALL_LIMIT,
+             max_pivots: float = math.inf) -> tuple[str, list[int], list[Num], int]:
+    """Two-phase primal simplex: maximize alpha+ - alpha- over rows, x >= 0.
+
+    Runs in the number type ``num`` with zero tolerance ``tol`` (0 for
+    Fraction, which makes every test exact).  Returns ``(status, basis,
+    values, pivots)``: status is "optimal", "infeasible", "unbounded" or
+    "pivot cap"; basis lists the basic columns (0 alpha+, 1 alpha-, 2 + j
+    lambda_j); values is the vertex when optimal.
+    """
     m = len(rows)
-    k = len(problem.column_names) - 1  # lambda count
+    k = len(rows[0]) - 1  # lambda count
     n = 2 + k  # alpha+ alpha- lambda_1..lambda_k
+    zero = num(0)
 
     # Constraint rows with nonnegative right-hand sides.
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[Num]] = []
     for row, b in zip(rows, rhs):
         sign = -1 if b < 0 else 1
-        body = [Fraction(sign * row[0]), Fraction(-sign * row[0])]
-        body.extend(Fraction(sign * v) for v in row[1:])
-        tableau.append(body + [Fraction(0)] * m + [Fraction(sign * b)])
+        body = [num(sign * row[0]), num(-sign * row[0])]
+        body.extend(num(sign * v) for v in row[1:])
+        tableau.append(body + [zero] * m + [num(sign * b)])
     for i in range(m):
-        tableau[i][n + i] = Fraction(1)
+        tableau[i][n + i] = num(1)
     basis = [n + i for i in range(m)]
-    pivots = 0
 
     # Phase 1: maximize minus the sum of artificials.
-    obj = [Fraction(0)] * (n + m + 1)
-    for j in range(n + m + 1):
-        obj[j] = sum(row[j] for row in tableau)
+    obj = [sum((row[j] for row in tableau), zero) for j in range(n + m + 1)]
     for i in range(m):
-        obj[n + i] = Fraction(0)
-    pricer = _Pricer()
-    while True:
-        state = _simplex_step(tableau, obj, basis, n + m, pricer)
-        if state == "pivoted":
-            pivots += 1
-            continue
-        if state == "unbounded":  # cannot happen: objective bounded by 0
-            raise RuntimeError("phase 1 reported unbounded")
-        break
-    if obj[-1] != 0:
-        return LpSolution(
-            status="infeasible",
-            objective=None,
-            multipliers={},
-            support=(),
-            pivots=pivots,
-            reconstruction_ok=False,
-        )
+        obj[n + i] = zero
+    state, pivots = _iterate(tableau, obj, basis, n + m, tol, stall_limit, max_pivots)
+    if state == "pivot cap":
+        return state, basis, [], pivots
+    if state == "unbounded":  # cannot happen: objective bounded by 0
+        raise RuntimeError("phase 1 reported unbounded")
+    if abs(obj[-1]) > tol:
+        return "infeasible", basis, [], pivots
 
     # Drive artificials out of the basis; drop rows that went redundant.
     for i in range(m - 1, -1, -1):
         if basis[i] < n:
             continue
-        pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
+        pivot_col = next((j for j in range(n) if abs(tableau[i][j]) > tol), None)
         if pivot_col is None:
             del tableau[i]
             del basis[i]
@@ -261,50 +317,137 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # Phase 2 on the real columns only.
     tableau = [row[:n] + [row[-1]] for row in tableau]
-    cost = [Fraction(1), Fraction(-1)] + [Fraction(0)] * k
-    obj = [Fraction(0)] * (n + 1)
+    cost = [num(1), num(-1)] + [zero] * k
+    obj = [zero] * (n + 1)
     for j in range(n + 1):
-        total = Fraction(0)
+        total = zero
         for i, tab_row in enumerate(tableau):
             c = cost[basis[i]]
             if c:
                 total += c * tab_row[j]
-        obj[j] = (cost[j] if j < n else Fraction(0)) - total
-    pricer = _Pricer()
-    while True:
-        state = _simplex_step(tableau, obj, basis, n, pricer)
-        if state == "pivoted":
-            pivots += 1
-            continue
-        if state == "unbounded":
-            return LpSolution(
-                status="unbounded",
-                objective=None,
-                multipliers={},
-                support=(),
-                pivots=pivots,
-                reconstruction_ok=False,
-            )
-        break
+        obj[j] = (cost[j] if j < n else zero) - total
+    state, done = _iterate(tableau, obj, basis, n, tol, stall_limit, max_pivots - pivots)
+    pivots += done
+    if state != "optimal":
+        return state, basis, [], pivots
 
-    values = [Fraction(0)] * n
+    values = [zero] * n
     for i, var in enumerate(basis):
         values[var] = tableau[i][-1]
-    alpha = values[0] - values[1]
-    multipliers = {
-        problem.column_names[j + 1]: values[2 + j] for j in range(k)
-    }
-    support = tuple(
-        name for name in problem.column_names[1:] if multipliers[name] > 0
+    return "optimal", basis, values, pivots
+
+
+def _float_basis(rows: list[tuple[Coeff, ...]], rhs: list[Coeff]
+                 ) -> tuple[str, list[int], int]:
+    """Candidate optimal basis from the simplex in float: (status, basis, pivots)."""
+    status, basis, _, pivots = _simplex(
+        rows, rhs, float, FLOAT_TOL, stall_limit=None, max_pivots=FLOAT_PIVOT_CAP
     )
-    ok = _reconstructs(problem, alpha, multipliers)
+    return status, basis, pivots
+
+
+def _standard_form(rows: list[tuple[Coeff, ...]]) -> tuple[list[list[Coeff]], list[int]]:
+    # Constraint rows over alpha+, alpha-, lambda_1..lambda_k and the cost
+    # vector of the objective alpha+ - alpha-.
+    matrix = [[row[0], -row[0], *row[1:]] for row in rows]
+    cost = [1, -1] + [0] * (len(rows[0]) - 1)
+    return matrix, cost
+
+
+def _basis_solution(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], basis: list[int]
+                    ) -> tuple[list[Fraction], list[Fraction]] | None:
+    """Exact primal x (zero off the basis) and dual y of a basis.
+
+    Solves B x_B = b and B^T y = c_B over Fraction; None when the basis is
+    not a nonsingular square submatrix.
+    """
+    matrix, cost = _standard_form(rows)
+    m = len(matrix)
+    if len(basis) != m:
+        return None
+    primal, pivots, _, _ = gauss_jordan(
+        [[row[j] for j in basis] + [b] for row, b in zip(matrix, rhs)], m
+    )
+    if len(pivots) < m:
+        return None
+    dual, _, _, _ = gauss_jordan(
+        [[row[j] for row in matrix] + [cost[j]] for j in basis], m
+    )
+    x = [Fraction(0)] * len(cost)
+    for r, j in enumerate(basis):
+        x[j] = primal[r][-1]
+    return x, [r[-1] for r in dual]
+
+
+def _check_certificate(problem: LpProblem, rows: list[tuple[Coeff, ...]],
+                       rhs: list[Coeff], basis: list[int],
+                       x: Sequence[Fraction], y: Sequence[Fraction]) -> str:
+    """"verified" when (x, y) proves x optimal, else the first failed condition.
+
+    x must be nonnegative and reproduce d4 on every monomial row; under y
+    every column must have nonpositive reduced cost, zero on the basis
+    (which pins y to the basis), and b^T y must equal alpha.  Weak duality
+    then bounds the alpha of every feasible point by b^T y.
+    """
+    matrix, cost = _standard_form(rows)
+    if any(v < 0 for v in x):
+        return "x has a negative entry"
+    alpha = x[0] - x[1]
+    if not _reconstructs(problem, alpha, _multipliers(problem, x)):
+        return "x does not reproduce d4"
+    basic = set(basis)
+    labels = ("alpha+", "alpha-") + problem.column_names[1:]
+    for j, c in enumerate(cost):
+        reduced = c - sum(v * row[j] for v, row in zip(y, matrix) if row[j])
+        if reduced > 0 or (reduced and j in basic):
+            return f"column {labels[j]} has reduced cost {reduced}"
+    if sum(b * v for b, v in zip(rhs, y)) != alpha:
+        return "b^T y differs from alpha"
+    return "verified"
+
+
+def _multipliers(problem: LpProblem, x: Sequence[Num]) -> dict[str, Num]:
+    return {name: x[2 + j] for j, name in enumerate(problem.column_names[1:])}
+
+
+def solve(problem: LpProblem) -> LpSolution:
+    """Float-guided exact solve with an exact fallback; deterministic."""
+    rows, rhs = _dedupe_rows(problem)
+    kept_rows, kept_rhs = _independent_rows(rows, rhs)
+    state, basis, float_pivots = _float_basis(kept_rows, kept_rhs)
+    verdict = f"float pass ended {state}"
+    if state == "optimal":
+        solved = _basis_solution(kept_rows, kept_rhs, basis)
+        verdict = "float basis is singular" if solved is None else _check_certificate(
+            problem, kept_rows, kept_rhs, basis, *solved
+        )
+    if verdict == "verified":
+        return _solution(problem, "optimal", solved[0], True, "certified",
+                         float_pivots, 0, verdict)
+
+    state, _, values, exact_pivots = _simplex(rows, rhs)
+    ok = state == "optimal" and _reconstructs(
+        problem, values[0] - values[1], _multipliers(problem, values)
+    )
+    return _solution(problem, state, values, ok, "exact-fallback",
+                     float_pivots, exact_pivots, f"rejected: {verdict}")
+
+
+def _solution(problem: LpProblem, status: str, values: list[Fraction], ok: bool,
+              route: str, float_pivots: int, exact_pivots: int,
+              certificate: str) -> LpSolution:
+    multipliers = _multipliers(problem, values) if status == "optimal" else {}
     return LpSolution(
-        status="optimal",
-        objective=alpha,
+        status=status,
+        objective=values[0] - values[1] if status == "optimal" else None,
         multipliers=multipliers,
-        support=support,
-        pivots=pivots,
+        support=tuple(name for name, v in multipliers.items() if v > 0),
+        pivots=float_pivots + exact_pivots,
         reconstruction_ok=ok,
+        route=route,
+        float_pivots=float_pivots,
+        exact_pivots=exact_pivots,
+        certificate=certificate,
     )
 
 
@@ -355,13 +498,22 @@ def upper_bound_check(basis: Sequence[tuple[str, Poly]]) -> BoundReport:
     forces alpha <= 64.  Columns that go negative at the witness void the
     argument; they are reported rather than raised.
     """
-    d4_value = catalog.d4().evaluate(WITNESS)
-    p4_value = catalog.p4().evaluate(WITNESS)
+    powers: dict[Mono, Coeff] = {}  # witness monomial -> its value there
+
+    def at_witness(poly: Poly) -> Coeff:
+        total: Coeff = 0
+        for mono, coeff in poly.terms.items():
+            value = powers.get(mono)
+            if value is None:
+                value = powers[mono] = math.prod(w ** e for w, e in zip(WITNESS, mono))
+            total += coeff * value
+        return total
+
+    d4_value = at_witness(catalog.d4())
+    p4_value = at_witness(catalog.p4())
     if d4_value != 64 * p4_value or p4_value <= 0:
         raise RuntimeError("witness vector lost the d4 = 64 p4 anchor")
-    negative = tuple(
-        name for name, poly in basis if poly.evaluate(WITNESS) < 0
-    )
+    negative = tuple(name for name, poly in basis if at_witness(poly) < 0)
     if negative:
         return BoundReport(
             applicable=False, bound=None, witness=WITNESS, negative_columns=negative

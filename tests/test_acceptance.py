@@ -92,14 +92,14 @@ def test_criterion_5_linear_program_optima():
         )
         ok = ok and good
         label = "+".join(extras) if extras else "T6"
-        pieces.append(f"{label}: alpha={solution.objective}")
+        pieces.append(f"{label}: alpha={solution.objective} via {solution.route}")
     ceiling = lp.upper_bound_check(lp.standard_basis(("z4", "n4", "v4sq")))
     ok = ok and ceiling.applicable and ceiling.bound == 64
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 600
     record(
         5,
-        "exact simplex: alpha = 32, 60, 188/3 with residual-zero reconstructions; ceiling 64",
+        "exact LP: alpha = 32, 60, 188/3 with residual-zero reconstructions; ceiling 64",
         ok,
         f"{'; '.join(pieces)}; ceiling {ceiling.bound}; {elapsed:.0f}s < 600s",
     )

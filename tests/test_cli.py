@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from atiyah4 import certify
+from atiyah4 import catalog, certify, lp
 from atiyah4.cli import build_parser, main, resolve_cert_dir
 
 
@@ -81,6 +81,28 @@ def test_sample_flag_validation(capsys):
 def test_lp_flag_validation(capsys):
     assert run_cli("lp", "--basis", "t5") == 2
     assert run_cli("lp", "--extra", "w4") == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_positive(tol, capsys):
+    assert run_cli("--tol", tol, "sample", "--count", "50") == 2
+    captured = capsys.readouterr()
+    assert "--tol must be a finite positive number" in captured.err
+    assert "overall" not in captured.out
+
+
+def test_lp_report_carries_the_route(monkeypatch, capsys):
+    gap = catalog.d4() - 64 * catalog.p4()
+    monkeypatch.setattr(lp, "standard_basis", lambda extras: [("gap", gap)])
+    assert run_cli("--json", "lp") == 0
+    entry = json.loads(capsys.readouterr().out)["checks"][0]
+    assert entry["alpha"] == "64"
+    assert entry["route"] == "certified"
+    assert entry["certificate"] == "verified"
+    assert entry["exact_pivots"] == 0 and entry["float_pivots"] > 0
+    assert "matrix reconstruction ok, polynomial reconstruction ok; route certified" in (
+        entry["detail"]
+    )
 
 
 def test_missing_certificate_directory(capsys):

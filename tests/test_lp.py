@@ -1,15 +1,20 @@
-"""Exact simplex behavior on small programs plus the ceiling argument.
+"""LP solver behavior on small programs plus the ceiling argument.
 
 The three full-size programs over the complete degree-6 column family run
 in the acceptance suite; here the solver is exercised on programs small
-enough to finish in milliseconds.
+enough to finish in milliseconds: the certified route, the exact fallback,
+the certificate checker and the row reduction.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from atiyah4 import catalog, certify, lp
+from atiyah4.linalg import gauss_jordan
+from atiyah4.polyring import variable
 from atiyah4.lp import (
     WITNESS,
     build_program,
@@ -28,6 +33,7 @@ def test_gap_fixture_reaches_the_ceiling():
     assert solution.objective == 64
     assert solution.multipliers["gap"] == 1
     assert solution.reconstruction_ok
+    assert solution.route == "certified" and solution.certificate == "verified"
     assert combination_polynomial([("gap", gap)], solution) == catalog.d4()
 
 
@@ -36,6 +42,8 @@ def test_single_z4_column_is_infeasible():
     solution = solve(problem)
     assert solution.status == "infeasible"
     assert solution.objective is None
+    assert solution.route == "exact-fallback"
+    assert solution.pivots == solution.float_pivots + solution.exact_pivots
 
 
 def test_unbounded_program_is_detected():
@@ -43,9 +51,10 @@ def test_unbounded_program_is_detected():
     problem = build_program(basis)
     solution = solve(problem)
     assert solution.status == "unbounded"
+    assert solution.route == "exact-fallback"
 
 
-def test_certificate_support_reproduces_the_best_bound():
+def sec3_basis():
     cert = certify.load_bundled("sec3-188/3")
     basis = [
         ("z4", catalog.z4()),
@@ -54,13 +63,81 @@ def test_certificate_support_reproduces_the_best_bound():
     ]
     for alpha, _ in cert.terms:
         basis.append((f"av[t^{catalog.format_alpha(alpha)}]", catalog.av_t_alpha(alpha)))
+    return basis
+
+
+def test_certificate_support_reproduces_the_best_bound():
+    basis = sec3_basis()
     problem = build_program(basis)
     solution = solve(problem)
     assert solution.status == "optimal"
     assert solution.objective == Fraction(188, 3)
     assert solution.reconstruction_ok
+    assert solution.route == "certified"
+    assert solution.exact_pivots == 0 and solution.pivots == solution.float_pivots > 0
     assert combination_polynomial(basis, solution) == catalog.d4()
     assert all(v >= 0 for v in solution.multipliers.values())
+
+
+def _singular_basis(rows, rhs):
+    # alpha+ and alpha- are opposite columns, so any basis holding both is singular.
+    return "optimal", [0, 1] + list(range(2, 2 + len(rows) - 2)), 0
+
+
+@pytest.mark.parametrize("force", ["pivot cap 0", "singular basis"])
+def test_bad_float_basis_takes_the_exact_fallback(force, monkeypatch):
+    problem = build_program(sec3_basis())
+    if force == "pivot cap 0":
+        monkeypatch.setattr(lp, "FLOAT_PIVOT_CAP", 0)
+        reason = "rejected: float pass ended pivot cap"
+    else:
+        monkeypatch.setattr(lp, "_float_basis", _singular_basis)
+        reason = "rejected: float basis is singular"
+    solution = solve(problem)
+    assert solution.route == "exact-fallback"
+    assert solution.certificate == reason
+    assert solution.status == "optimal"
+    assert solution.objective == Fraction(188, 3)
+    assert solution.reconstruction_ok
+    assert solution.float_pivots == 0 and solution.pivots == solution.exact_pivots > 0
+
+
+@pytest.fixture(scope="module")
+def sec3_certificate():
+    problem = build_program(sec3_basis())
+    rows, rhs = lp._independent_rows(*lp._dedupe_rows(problem))
+    state, basis, _ = lp._float_basis(rows, rhs)
+    assert state == "optimal"
+    x, y = lp._basis_solution(rows, rhs, basis)
+    assert lp._check_certificate(problem, rows, rhs, basis, x, y) == "verified"
+    return problem, rows, rhs, basis, x, y
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dual_checker_rejects_any_perturbed_y(sec3_certificate, data):
+    problem, rows, rhs, basis, x, y = sec3_certificate
+    delta = data.draw(st.lists(st.fractions(max_denominator=10**6),
+                               min_size=len(y), max_size=len(y)))
+    if data.draw(st.booleans()):
+        # keep b^T y unchanged, so that only the reduced costs can object
+        pivot = next(i for i, b in enumerate(rhs) if b)
+        delta[pivot] -= sum(b * d for b, d in zip(rhs, delta)) / rhs[pivot]
+    assume(any(delta))
+    moved = [v + d for v, d in zip(y, delta)]
+    assert lp._check_certificate(problem, rows, rhs, basis, x, moved) != "verified"
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dual_checker_rejects_a_negative_x(sec3_certificate, data):
+    problem, rows, rhs, basis, x, y = sec3_certificate
+    index = data.draw(st.integers(0, len(x) - 1))
+    value = data.draw(st.fractions(max_denominator=10**6).filter(bool))
+    moved = list(x)
+    moved[index] = -abs(value)
+    verdict = lp._check_certificate(problem, rows, rhs, basis, x=moved, y=y)
+    assert verdict == "x has a negative entry"
 
 
 def test_build_program_rejects_duplicate_names():
@@ -88,8 +165,14 @@ def test_standard_basis_shape(t6_columns):
     assert len(set(names)) == len(names)
 
 
-def test_ceiling_argument_applies_to_standard_columns():
-    report = upper_bound_check(standard_basis(["z4", "n4", "v4sq"]))
+def test_ceiling_argument_applies_to_standard_columns(monkeypatch):
+    basis = standard_basis(["z4", "n4", "v4sq"])
+
+    def no_program(_basis):
+        raise AssertionError("the ceiling must cover the basis it is given")
+
+    monkeypatch.setattr(lp, "build_program", no_program)
+    report = upper_bound_check(basis)
     assert report.applicable
     assert report.bound == 64
     assert report.witness == WITNESS
@@ -101,6 +184,10 @@ def test_ceiling_argument_voids_on_negative_columns():
     assert not report.applicable
     assert report.bound is None
     assert report.negative_columns == ("bad",)
+    report = upper_bound_check(
+        [("ok", catalog.p4()), ("low", -variable("a")), ("bad", -catalog.p4())]
+    )
+    assert report.negative_columns == ("low", "bad")
 
 
 def test_solution_support_matches_multipliers():
@@ -117,3 +204,15 @@ def test_program_rows_are_deduplicated():
     assert len(rows) == len(rhs)
     assert len({tuple(r) + (v,) for r, v in zip(rows, rhs)}) == len(rows)
     assert len(rows) <= len(problem.matrix)
+
+
+def test_row_reduction_keeps_an_independent_spanning_set():
+    # rows [p4 | gap | d4] with d4 = 64 p4 + gap: rank 2 however many rows
+    problem = build_program([("gap", catalog.d4() - 64 * catalog.p4())])
+    rows, rhs = lp._dedupe_rows(problem)
+    kept, kept_rhs = lp._independent_rows(rows, rhs)
+    assert len(kept) == 2 < len(rows)
+    assert all(row in rows for row in kept)
+    full = [list(row) + [b] for row, b in zip(rows, rhs)]
+    assert len(gauss_jordan(full)[1]) == len(gauss_jordan(
+        [list(row) + [b] for row, b in zip(kept, kept_rhs)])[1])

@@ -239,18 +239,21 @@ def _require_orders(
 
 
 def combination_orbit_sum(terms: tuple[tuple[MultiIndex, int], ...]) -> Poly:
-    """Integer polynomial sum of coeff * (24 av[t^alpha]) over the table."""
+    """Integer polynomial sum of coeff * (24 av[t^alpha]) over the table.
+
+    The orbit sum is linear, so the table is summed as coeff * t^alpha
+    first and goes through one orbit sum instead of one per row.
+    """
     acc: dict[Mono, Coeff] = {}
     get = acc.get
     for alpha, lam in terms:
-        expanded = orbit_sum(t_alpha_expand(alpha))
-        for mono, c in expanded.terms.items():
+        for mono, c in t_alpha_expand(alpha).terms.items():
             total = get(mono, 0) + lam * c
             if total:
                 acc[mono] = total
             elif mono in acc:
                 del acc[mono]
-    return Poly._raw(acc)
+    return orbit_sum(Poly._raw(acc))
 
 
 def _report(identity: str, scaled_residual: Poly, started: float) -> ResidualReport:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -275,7 +276,9 @@ def cmd_lp(args) -> dict:
             )
         )
 
+    started = time.perf_counter()
     ceiling = lp.upper_bound_check(basis)
+    c_elapsed = time.perf_counter() - started
     c_ok = ceiling.applicable and ceiling.bound == 64
     c_detail = (
         f"objective ceiling {ceiling.bound} from witness {ceiling.witness}"
@@ -283,7 +286,7 @@ def cmd_lp(args) -> dict:
         else "ceiling argument void: columns go negative at the witness: "
         + ", ".join(ceiling.negative_columns)
     )
-    checks.append(_check_entry("ceiling", "pass" if c_ok else "fail", 0.0, c_detail))
+    checks.append(_check_entry("ceiling", "pass" if c_ok else "fail", c_elapsed, c_detail))
 
     passed = all(c["status"] == "pass" for c in checks)
     return {"command": "lp", "checks": checks, "passed": passed}
@@ -361,14 +364,24 @@ def cmd_eval(args) -> dict:
 
 def _print_report(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return
-    for check in report["checks"]:
-        print(
+        text = json.dumps(report, indent=2, sort_keys=True)
+    else:
+        lines = [
             f"{check['status'].upper():<4} {check['name']:<16} "
             f"{check['detail']} [{check['elapsed_ms']} ms]"
-        )
-    print(f"overall: {'pass' if report['passed'] else 'FAIL'}")
+            for check in report["checks"]
+        ]
+        lines.append(f"overall: {'pass' if report['passed'] else 'FAIL'}")
+        text = "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader went away (``atiyah4 ... | head``); the exit code still
+        # carries the outcome.  Point stdout at /dev/null so the flush at
+        # interpreter exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:

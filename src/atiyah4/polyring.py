@@ -158,10 +158,19 @@ class Poly:
         return NotImplemented
 
     def scale(self, scalar: Coeff) -> "Poly":
+        # Symmetric polynomials repeat few coefficient values over many
+        # monomials, so each distinct product is computed once.
         scalar = normalize_coeff(scalar)
         if not scalar:
             return Poly._raw({})
-        return Poly._raw({m: normalize_coeff(c * scalar) for m, c in self.terms.items()})
+        products: dict[Coeff, Coeff] = {}
+        result: dict[Mono, Coeff] = {}
+        for mono, coeff in self.terms.items():
+            product = products.get(coeff)
+            if product is None:
+                product = products[coeff] = normalize_coeff(coeff * scalar)
+            result[mono] = product
+        return Poly._raw(result)
 
     def _mul_poly(self, other: "Poly") -> "Poly":
         # Iterate the smaller factor on the outside: fewer dict rebuilds.

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from .polyring import Coeff, Mono, N_VARS, Poly, mono_key
+from .polyring import Coeff, Mono, N_VARS, Poly, mono_key, normalize_coeff
 
 _T = TypeVar("_T")
 
@@ -107,31 +107,55 @@ def apply_perm(poly: Poly, index: int) -> Poly:
     return Poly._raw(result)
 
 
+# Monomial -> graded-lex-maximal monomial of its orbit, and canonical
+# monomial -> the distinct monomials of its orbit.  Pure functions of the
+# table above, filled lazily one whole orbit per miss, so importing the
+# module builds nothing and every caller sees the same answers.
+_CANONICAL: dict[Mono, Mono] = {}
+_ORBIT: dict[Mono, tuple[Mono, ...]] = {}
+
+
+def orbit_canonical(mono: Mono) -> Mono:
+    """Graded-lex-maximal exponent vector in the orbit of ``mono``."""
+    canonical = _CANONICAL.get(mono)
+    if canonical is None:
+        images = {permute_mono(mono, row) for row in ROWS}
+        canonical = max(images)
+        _ORBIT[canonical] = tuple(images)
+        for image in images:
+            _CANONICAL[image] = canonical
+    return canonical
+
+
 def orbit_sum(poly: Poly) -> Poly:
     """Sum of the 24 permuted images of ``poly`` (24 times the average).
+
+    Computed by orbit rather than by image: for a monomial n whose orbit
+    has canonical monomial c,
+
+        orbit_sum(p)[n] = |Stab(c)| * sum(p[m] for m in orbit(c)),
+
+    with |Stab(c)| = 24 / |orbit(c)|, because the 24 rows carry each
+    monomial of the orbit onto n exactly |Stab(c)| times.  So each input
+    term costs one table lookup and one add, and each orbit one write per
+    member.
 
     Kept separate from :func:`sym_average` because the certificate checks
     accumulate these sums with integer coefficients and divide once at the
     very end.
     """
+    totals: dict[Mono, Coeff] = {}
+    get = totals.get
+    for mono, coeff in poly.terms.items():
+        canonical = orbit_canonical(mono)
+        totals[canonical] = get(canonical, 0) + coeff
     result: dict[Mono, Coeff] = {}
-    get = result.get
-    for row in ROWS:
-        r0, r1, r2, r3, r4, r5 = row
-        for mono, coeff in poly.terms.items():
-            out = [0] * N_VARS
-            out[r0] = mono[0]
-            out[r1] = mono[1]
-            out[r2] = mono[2]
-            out[r3] = mono[3]
-            out[r4] = mono[4]
-            out[r5] = mono[5]
-            key = tuple(out)
-            total = get(key, 0) + coeff
-            if total:
-                result[key] = total
-            elif key in result:
-                del result[key]
+    for canonical, total in totals.items():
+        if total:
+            orbit = _ORBIT[canonical]
+            value = normalize_coeff(GROUP_ORDER // len(orbit) * total)
+            for mono in orbit:
+                result[mono] = value
     return Poly._raw(result)
 
 
@@ -153,16 +177,6 @@ def is_skew_symmetric(poly: Poly) -> bool:
         if apply_perm(poly, i) != expected:
             return False
     return True
-
-
-def orbit_canonical(mono: Mono) -> Mono:
-    """Graded-lex-maximal exponent vector in the orbit of ``mono``."""
-    best = permute_mono(mono, ROWS[0])
-    for row in ROWS[1:]:
-        candidate = permute_mono(mono, row)
-        if candidate > best:
-            best = candidate
-    return best
 
 
 def compose(first: int, second: int) -> int:

@@ -1,5 +1,6 @@
 """Anchor values, symmetry classes, and the averaged-monomial machinery."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,18 @@ def test_enumerate_T_six_is_frozen(t6_columns):
     keys = {poly.canonical_key() for _, poly in t6_columns}
     assert len(keys) == 517
     assert all(alpha == catalog.alpha_orbit_canonical(alpha) for alpha, _ in t6_columns)
+
+
+#: sha256 over repr((alpha, canonical_key)) of every enumerate_T(6) column,
+#: in order, as first computed with the 24-image orbit sum.
+T6_DIGEST = "5ed87df68601cbd55594a62dabcdbb96f29571c4bcd9406b4c780fd15740faa7"
+
+
+def test_enumerate_T_six_digest_is_pinned(t6_columns):
+    digest = hashlib.sha256()
+    for alpha, poly in t6_columns:
+        digest.update(repr((alpha, poly.canonical_key())).encode())
+    assert digest.hexdigest() == T6_DIGEST
 
 
 def test_enumerate_T_guards_order():

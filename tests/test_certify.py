@@ -1,5 +1,6 @@
 """Certificate parsing, the residual checker, and error localization."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -8,13 +9,18 @@ from atiyah4 import catalog, certify
 from atiyah4.certify import (
     Certificate,
     bundled_certificate_dir,
+    check_eq42,
     check_eq52,
+    check_eq53,
     check_sec3,
+    combination_orbit_sum,
     load_bundled,
     load_certificate,
     run_certificate_check,
     save_certificate,
 )
+from atiyah4.polyring import Poly
+from atiyah4.symmetry import orbit_sum
 
 
 def test_bundled_directory_has_all_files():
@@ -153,3 +159,36 @@ def test_certificate_ids_are_enforced(tmp_path):
     )
     with pytest.raises(ValueError):
         check_sec3(wrong)
+
+
+def _with_coeff_bumped(cert, section, index):
+    rows = list(getattr(cert, section))
+    alpha, coeff = rows[index]
+    rows[index] = (alpha, coeff + 1)
+    return dataclasses.replace(cert, **{section: tuple(rows)}), alpha
+
+
+@pytest.mark.parametrize(
+    "cert_id, rows", [("sec3-188/3", slice(None)), ("eq42", slice(0, 10))]
+)
+def test_table_sum_equals_sum_of_row_orbit_sums(cert_id, rows):
+    terms = load_bundled(cert_id).terms[rows]
+    expected = Poly({})
+    for alpha, lam in terms:
+        expected = expected + lam * orbit_sum(catalog.t_alpha_expand(alpha))
+    assert combination_orbit_sum(terms) == expected
+
+
+def test_eq42_bumped_coefficient_leaves_minus_its_average():
+    tampered, alpha = _with_coeff_bumped(load_bundled("eq42"), "terms", 17)
+    report = check_eq42(tampered)
+    assert not report.passed
+    assert report.residual == -catalog.av_t_alpha(alpha)
+
+
+def test_eq53_bumped_multiplier_leaves_minus_multiplier_times_average():
+    tampered, mu = _with_coeff_bumped(load_bundled("eq53"), "multiplier_terms", 3)
+    report = check_eq53(tampered)
+    assert not report.passed
+    multiplier = 4 * catalog.z4() + catalog.v4() ** 2
+    assert report.residual == -(multiplier * catalog.av_t_alpha(mu))

@@ -1,8 +1,10 @@
 """Exit codes, report formats, and the verify orchestration."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,3 +185,45 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "= 2" in proc.stdout
+
+
+def _run_into_closed_pipe(*argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "atiyah4.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_exits_quietly_with_the_report_code(tmp_path):
+    proc = _run_into_closed_pipe("--json", "eval", "d4", "9", "8", "1", "1", "7", "8")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+    _copy_certs(tmp_path)
+    _corrupt_coeff(tmp_path / "sec3.cert")
+    proc = _run_into_closed_pipe("--certs", str(tmp_path), "verify", "sec3")
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_ceiling_entry_is_timed(monkeypatch, capsys):
+    gap = catalog.d4() - 64 * catalog.p4()
+    monkeypatch.setattr(lp, "standard_basis", lambda extras: [("gap", gap)])
+    real_check = lp.upper_bound_check
+
+    def slow_check(basis):
+        time.sleep(0.3)
+        return real_check(basis)
+
+    monkeypatch.setattr(lp, "upper_bound_check", slow_check)
+    assert run_cli("--json", "lp") == 0
+    entries = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert entries["ceiling"]["status"] == "pass"
+    assert entries["ceiling"]["elapsed_ms"] >= 300
+    assert entries["lp"]["elapsed_ms"] < 300

@@ -77,6 +77,32 @@ def test_scalar_mul_matches_poly_mul(f):
     assert (0 * f).is_zero()
 
 
+@given(polys(max_terms=12), st.one_of(st.just(0), coeffs))
+def test_scale_matches_term_by_term(f, scalar):
+    expected = Poly({m: c * scalar for m, c in f.terms.items()})
+    scaled = f.scale(scalar)
+    assert scaled == expected
+    assert all(
+        type(c) is int or c.denominator != 1 for c in scaled.terms.values()
+    )
+
+
+def test_scale_by_zero_and_by_fractions():
+    f = Poly({(1, 0, 0, 0, 0, 0): 24, (0, 1, 0, 0, 0, 0): 24, (0, 0, 1, 0, 0, 0): 5})
+    assert f.scale(0).is_zero()
+    assert f.scale(Fraction(0, 7)).is_zero()
+    assert f.scale(Fraction(1, 24)).terms == {
+        (1, 0, 0, 0, 0, 0): 1,
+        (0, 1, 0, 0, 0, 0): 1,
+        (0, 0, 1, 0, 0, 0): Fraction(5, 24),
+    }
+    assert f.scale(Fraction(-3, 2)).terms == {
+        (1, 0, 0, 0, 0, 0): -36,
+        (0, 1, 0, 0, 0, 0): -36,
+        (0, 0, 1, 0, 0, 0): Fraction(-15, 2),
+    }
+
+
 @given(polys(max_terms=3), st.integers(min_value=0, max_value=4))
 @settings(max_examples=40)
 def test_pow_is_repeated_mul(f, k):

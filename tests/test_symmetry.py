@@ -145,3 +145,58 @@ def test_orbit_canonical_dominates(mono):
     images = [permute_mono(mono, row) for row in ROWS]
     assert canon in images
     assert symmetry.sorted_mono_descending(images)[0] == canon
+
+
+def reference_orbit_sum(poly):
+    """The definition: push every term through all 24 rows and add."""
+    acc = {}
+    for row in ROWS:
+        for mono, coeff in poly.terms.items():
+            image = permute_mono(mono, row)
+            acc[image] = acc.get(image, 0) + coeff
+    return Poly(acc)
+
+
+mixed_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@st.composite
+def mixed_polys(draw, max_terms=6):
+    """Mixed-degree polynomials with int and Fraction coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        terms[draw(monos)] = draw(mixed_coeffs)
+    return Poly(terms)
+
+
+@given(mixed_polys())
+@settings(max_examples=120)
+def test_orbit_sum_matches_the_24_image_reference(f):
+    assert orbit_sum(f) == reference_orbit_sum(f)
+
+
+@given(mixed_polys(max_terms=4), row_indices, mixed_polys(max_terms=3))
+@settings(max_examples=80)
+def test_orbit_sum_of_cancelling_images(g, i, h):
+    # g and its image under row i have the same orbit sum, so their
+    # difference sums to zero, and adding it to h changes nothing.
+    cancelling = g - apply_perm(g, i)
+    assert orbit_sum(cancelling).is_zero()
+    assert reference_orbit_sum(cancelling).is_zero()
+    assert orbit_sum(h + cancelling) == reference_orbit_sum(h) == orbit_sum(h)
+
+
+def test_orbit_sum_keeps_ints_for_integral_fraction_totals():
+    half = Fraction(1, 2)
+    f = Poly({(1, 0, 0, 0, 0, 0): half, (0, 1, 0, 0, 0, 0): half})
+    result = orbit_sum(f)
+    assert result == reference_orbit_sum(f)
+    assert all(type(c) is int for c in result.terms.values())
+
+
+@given(monos)
+def test_orbit_canonical_is_the_maximum_image(mono):
+    assert orbit_canonical(mono) == max(permute_mono(mono, row) for row in ROWS)

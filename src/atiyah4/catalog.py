@@ -25,7 +25,8 @@ from typing import Sequence
 
 from . import polyring, symmetry
 from .polyring import Coeff, Poly
-from .symmetry import GROUP_ORDER, ROWS, apply_perm, orbit_sum, sym_average
+from .symmetry import GROUP_ORDER, OrbitTable, apply_perm, sym_average
+from .symmetry import orbit_sum  # noqa: F401  (perfbench/spans.py traces it here)
 
 A, B, C, X, Y, Z = polyring.variables()
 
@@ -250,22 +251,12 @@ def t_alpha_expand(alpha: Sequence[int]) -> Poly:
 
 def av_t_alpha(alpha: Sequence[int]) -> Poly:
     """The symmetric average of t^alpha."""
-    return orbit_sum(t_alpha_expand(alpha)).scale(Fraction(1, 24))
+    return sym_average(t_alpha_expand(alpha))
 
 
 def alpha_orbit_canonical(alpha: Sequence[int]) -> MultiIndex:
     """Lexicographically maximal image of alpha under the slot action."""
-    alpha = check_multi_index(alpha)
-    best: MultiIndex | None = None
-    for row in t_slot_action():
-        image = [0] * N_TRIANGULAR
-        for k in range(N_TRIANGULAR):
-            image[row[k]] = alpha[k]
-        image_t = tuple(image)
-        if best is None or image_t > best:
-            best = image_t
-    assert best is not None
-    return best
+    return OrbitTable(t_slot_action()).canonical(check_multi_index(alpha))
 
 
 def enumerate_T(order: int) -> list[tuple[MultiIndex, Poly]]:
@@ -277,6 +268,10 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, Poly]]:
     same orbit of the slot action provably average to the same polynomial,
     so only one representative per orbit is expanded; the final arbiter is
     still full polynomial equality on the expanded forms.
+
+    The compositions arrive in descending lex order, so the first member
+    of each orbit to arrive is its canonical form: keeping exactly the
+    canonical alphas keeps the first-arrival order.
     """
     if not isinstance(order, int) or order < 0:
         raise ValueError("order must be a non-negative int")
@@ -285,17 +280,13 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, Poly]]:
             f"refusing to enumerate order {order}: "
             f"the guard is {MAX_ENUMERATION_ORDER}"
         )
-    seen_orbits: set[MultiIndex] = set()
+    orbits = OrbitTable(t_slot_action())
     by_polynomial: dict[tuple, tuple[MultiIndex, Poly]] = {}
     for alpha in polyring.compositions(order, N_TRIANGULAR):
-        canonical = alpha_orbit_canonical(alpha)
-        if canonical in seen_orbits:
+        if orbits.canonical(alpha) != alpha:
             continue
-        seen_orbits.add(canonical)
-        averaged = av_t_alpha(canonical)
-        key = averaged.canonical_key()
-        if key not in by_polynomial:
-            by_polynomial[key] = (canonical, averaged)
+        averaged = av_t_alpha(alpha)
+        by_polynomial.setdefault(averaged.canonical_key(), (alpha, averaged))
     return list(by_polynomial.values())
 
 

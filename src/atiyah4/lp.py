@@ -10,23 +10,26 @@ alpha is split into a difference of two nonnegative variables.
 The reported optima (32, 60, 188/3, 64) are exact rational statements,
 not floating-point estimates.  A solve takes three steps:
 
-1. Exact row reduction.  Orbit-duplicate rows are collapsed, then exact
-   elimination keeps a maximal independent set of the rows [row | rhs].
-   Every dropped row is an exact combination of the kept ones, right-hand
-   side included, so the feasible set does not change.
+1. Rows by orbit.  d4, p4 and every column are checked symmetric, so
+   each side of the identity has one coefficient per orbit of the
+   24-element action, and one row per orbit-canonical monomial says all
+   (32 rows at degree 6 instead of 462).  Exact elimination then keeps a
+   maximal independent set of the rows [row | rhs]; every dropped row is
+   an exact combination of the kept ones, right-hand side included, so
+   the feasible set does not change.
 2. Float basis.  The tableau simplex runs in float, with largest-
    coefficient pricing, a zero tolerance and a pivot cap, to find a
    candidate optimal basis B.
 3. Exact certificate.  B x = b and B^T y = c_B are solved in Fraction.
    The result is accepted only if x >= 0, x reproduces d4 on every
-   monomial row, every column has nonpositive reduced cost under y (zero
+   orbit row, every column has nonpositive reduced cost under y (zero
    on the basis) and b^T y = alpha.  By weak duality no feasible point has
    a larger alpha, so optimality is proved, not taken on the float
    solver's word.
 
 If any step fails (float status not optimal, pivot cap hit, singular
 basis, a failed check), the same tableau code runs over Fraction as an
-exact two-phase simplex on the deduplicated rows: largest-reduced-cost
+exact two-phase simplex on the same rows: largest-reduced-cost
 entering, dropping permanently to Bland's lowest-index rule whenever
 degenerate pivots stall, which preserves the no-cycling guarantee.
 "infeasible" and "unbounded" only ever come from this exact path.
@@ -42,8 +45,8 @@ from typing import Sequence, Union
 from . import catalog
 from .catalog import enumerate_T, format_alpha
 from .linalg import gauss_jordan
-from .polyring import Coeff, Mono, Poly
-from .symmetry import sorted_mono_descending
+from .polyring import Coeff, Mono, Poly, mono_key
+from .symmetry import is_symmetric, orbit_canonical
 
 DEGREE = 6
 
@@ -55,9 +58,10 @@ Num = Union[Fraction, float]
 class LpProblem:
     """Coefficient-matching formulation of the degree-6 program.
 
-    Row r states: rhs[r] = alpha * matrix[r][0] + sum_j lambda_j * matrix[r][j].
-    Column 0 is the alpha column (coefficients of p4); the rhs holds the
-    coefficients of d4.
+    Row r states: rhs[r] = alpha * matrix[r][0] + sum_j lambda_j * matrix[r][j]
+    for the coefficients of monomials[r], an orbit-canonical monomial (one
+    row per orbit).  Column 0 is the alpha column (coefficients of p4); the
+    rhs holds the coefficients of d4.
     """
 
     monomials: tuple[Mono, ...]
@@ -96,9 +100,9 @@ WITNESS = (9, 8, 1, 1, 7, 8)
 def build_program(basis: Sequence[tuple[str, Poly]]) -> LpProblem:
     """Assemble the coefficient-matching rows for the given basis columns.
 
-    Every basis polynomial must be homogeneous of degree 6; rows cover the
-    union of monomials appearing in d4, p4 and the basis, in descending
-    graded-lex order.
+    Every basis polynomial must be symmetric and homogeneous of degree 6;
+    rows cover the orbits meeting d4, p4 or the basis, one row per
+    orbit-canonical monomial, in descending graded-lex order.
     """
     names = [name for name, _ in basis]
     if len(set(names)) != len(names):
@@ -108,11 +112,17 @@ def build_program(basis: Sequence[tuple[str, Poly]]) -> LpProblem:
     for name, poly in basis:
         if poly.is_zero() or not poly.is_homogeneous(DEGREE):
             raise ValueError(f"basis column {name!r} is not homogeneous of degree {DEGREE}")
-    support: set[Mono] = set(d4.terms) | set(p4.terms)
-    for _, poly in basis:
-        support.update(poly.terms)
-    monomials = tuple(sorted_mono_descending(list(support)))
+    # Soundness of one row per orbit: each side of d4 = alpha p4 + sum
+    # lambda_j f_j is checked symmetric here, so each side is constant on
+    # every orbit of the action, and so is their difference.  Equality on
+    # an orbit's canonical monomial is therefore equality on every monomial
+    # of the orbit, and the rows below state the full polynomial identity.
+    for name, poly in (("d4", d4), ("p4", p4), *basis):
+        if not is_symmetric(poly):
+            raise ValueError(f"column {name!r} is not symmetric")
     columns = [p4] + [poly for _, poly in basis]
+    support = {orbit_canonical(mono) for poly in (d4, *columns) for mono in poly.terms}
+    monomials = tuple(sorted(support, key=mono_key, reverse=True))
     matrix = tuple(
         tuple(column.terms.get(mono, 0) for column in columns) for mono in monomials
     )
@@ -125,24 +135,7 @@ def build_program(basis: Sequence[tuple[str, Poly]]) -> LpProblem:
     )
 
 
-def _dedupe_rows(problem: LpProblem) -> tuple[list[tuple[Coeff, ...]], list[Coeff]]:
-    # The basis columns and the rhs are all symmetric polynomials, so the
-    # rows of the monomials in one orbit are identical; collapsing exact
-    # duplicates (matrix row and rhs together) loses nothing.
-    seen: set[tuple] = set()
-    rows: list[tuple[Coeff, ...]] = []
-    rhs: list[Coeff] = []
-    for row, b in zip(problem.matrix, problem.rhs):
-        key = (row, b)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(row)
-        rhs.append(b)
-    return rows, rhs
-
-
-def _independent_rows(rows: list[tuple[Coeff, ...]], rhs: list[Coeff]
+def _independent_rows(rows: Sequence[tuple[Coeff, ...]], rhs: Sequence[Coeff]
                       ) -> tuple[list[tuple[Coeff, ...]], list[Coeff]]:
     # A maximal independent set of the rows [row | rhs], in their original
     # order.  Every dropped row is an exact combination of the kept ones,
@@ -384,7 +377,7 @@ def _check_certificate(problem: LpProblem, rows: list[tuple[Coeff, ...]],
                        x: Sequence[Fraction], y: Sequence[Fraction]) -> str:
     """"verified" when (x, y) proves x optimal, else the first failed condition.
 
-    x must be nonnegative and reproduce d4 on every monomial row; under y
+    x must be nonnegative and reproduce d4 on every orbit row; under y
     every column must have nonpositive reduced cost, zero on the basis
     (which pins y to the basis), and b^T y must equal alpha.  Weak duality
     then bounds the alpha of every feasible point by b^T y.
@@ -412,14 +405,13 @@ def _multipliers(problem: LpProblem, x: Sequence[Num]) -> dict[str, Num]:
 
 def solve(problem: LpProblem) -> LpSolution:
     """Float-guided exact solve with an exact fallback; deterministic."""
-    rows, rhs = _dedupe_rows(problem)
-    kept_rows, kept_rhs = _independent_rows(rows, rhs)
-    state, basis, float_pivots = _float_basis(kept_rows, kept_rhs)
+    rows, rhs = _independent_rows(problem.matrix, problem.rhs)
+    state, basis, float_pivots = _float_basis(rows, rhs)
     verdict = f"float pass ended {state}"
     if state == "optimal":
-        solved = _basis_solution(kept_rows, kept_rhs, basis)
+        solved = _basis_solution(rows, rhs, basis)
         verdict = "float basis is singular" if solved is None else _check_certificate(
-            problem, kept_rows, kept_rhs, basis, *solved
+            problem, rows, rhs, basis, *solved
         )
     if verdict == "verified":
         return _solution(problem, "optimal", solved[0], True, "certified",
@@ -484,6 +476,8 @@ def standard_basis(extras: Sequence[str] = ()) -> list[tuple[str, Poly]]:
     for name in extras:
         if name not in allowed:
             raise ValueError(f"unknown extra column {name!r}; choose from z4, n4, v4sq")
+        if name in dict(basis):
+            raise ValueError(f"extra column {name!r} given twice")
         basis.append((name, allowed[name]()))
     for alpha, poly in enumerate_T(DEGREE):
         basis.append((f"av[t^{format_alpha(alpha)}]", poly))

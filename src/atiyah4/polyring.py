@@ -20,7 +20,6 @@ be treated as read-only.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -52,8 +51,8 @@ class Poly:
 
     Supports ``+``, ``-``, ``*`` (by polynomial or scalar) and ``**`` with a
     non-negative int exponent.  Construct via :func:`variable`,
-    :func:`constant`, :func:`from_terms` or the parser :func:`from_text`
-    rather than calling the constructor with a raw dict.
+    :func:`constant` or :func:`from_terms` rather than calling the
+    constructor with a raw dict.
     """
 
     __slots__ = ("terms", "_key")
@@ -327,50 +326,3 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(total, -1, -1):
         for tail in compositions(total - head, parts - 1):
             yield (head,) + tail
-
-
-def monomials_of_degree(degree: int) -> list[Mono]:
-    """All degree-``degree`` exponent vectors, descending graded-lex order."""
-    return list(compositions(degree, N_VARS))  # already lex-descending
-
-
-# -- serialization ---------------------------------------------------------
-
-_TERM_RE = re.compile(
-    r"^\s*(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*"
-    r"a\^(?P<e0>\d+)\s+b\^(?P<e1>\d+)\s+c\^(?P<e2>\d+)\s+"
-    r"x\^(?P<e3>\d+)\s+y\^(?P<e4>\d+)\s+z\^(?P<e5>\d+)\s*$"
-)
-
-
-def to_text(poly: Poly) -> str:
-    """Serialize to the line-per-term text form, descending graded-lex.
-
-    Each line reads ``coeff * a^e1 b^e2 c^e3 x^e4 y^e5 z^e6`` with the
-    coefficient printed exactly (``-3`` or ``7/2``).  The zero polynomial
-    serializes to the empty string.  ``from_text`` inverts this exactly.
-    """
-    lines = []
-    for mono, coeff in poly.sorted_terms():
-        body = " ".join(f"{VAR_NAMES[i]}^{mono[i]}" for i in range(N_VARS))
-        lines.append(f"{coeff} * {body}")
-    return "\n".join(lines)
-
-
-def from_text(text: str) -> Poly:
-    """Parse the output of :func:`to_text`.  Strict; errors cite the line."""
-    terms: dict[Mono, Coeff] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        match = _TERM_RE.match(line)
-        if match is None:
-            raise ValueError(f"line {lineno}: cannot parse term {line!r}")
-        coeff = normalize_coeff(Fraction(match.group("coeff")))
-        mono = tuple(int(match.group(f"e{i}")) for i in range(N_VARS))
-        if mono in terms:
-            raise ValueError(f"line {lineno}: duplicate monomial {mono}")
-        if coeff == 0:
-            raise ValueError(f"line {lineno}: explicit zero coefficient")
-        terms[mono] = coeff
-    return Poly._raw(terms)

@@ -12,6 +12,12 @@ the six distances can be even.  ``self_test`` re-derives the group
 structure (closure, inverses, sign homomorphism) from the table itself, so
 a transcription slip in either the rows or the signs cannot survive the
 test suite.
+
+``OrbitTable`` is the one place orbit canonical forms are computed, for
+the six distance exponents here and for the twelve triangular-variable
+exponents in ``catalog``.  A symmetric polynomial is fixed by its
+coefficients on the orbit-canonical monomials (Gatermann & Parrilo,
+"Symmetry groups, semidefinite programs, and sums of squares", 2004).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from .polyring import Coeff, Mono, N_VARS, Poly, mono_key, normalize_coeff
+from .polyring import Coeff, Mono, N_VARS, Poly, normalize_coeff
 
 _T = TypeVar("_T")
 
@@ -70,11 +76,15 @@ def _check_row_index(index: int) -> None:
         raise IndexError(f"permutation index {index} out of range 0..23")
 
 
-def permute_mono(mono: Mono, row: tuple[int, ...]) -> Mono:
-    """Push an exponent vector through one table row."""
-    out = [0] * N_VARS
-    for k in range(N_VARS):
-        out[row[k]] = mono[k]
+def permute_mono(mono: tuple[int, ...], row: tuple[int, ...]) -> tuple[int, ...]:
+    """Push an exponent vector through one row: slot k moves to slot row[k].
+
+    Works for any number of slots, so the same routine moves the six
+    distance exponents and the twelve triangular-variable exponents.
+    """
+    out = [0] * len(row)
+    for k, target in enumerate(row):
+        out[target] = mono[k]
     return tuple(out)
 
 
@@ -107,24 +117,43 @@ def apply_perm(poly: Poly, index: int) -> Poly:
     return Poly._raw(result)
 
 
-# Monomial -> graded-lex-maximal monomial of its orbit, and canonical
-# monomial -> the distinct monomials of its orbit.  Pure functions of the
-# table above, filled lazily one whole orbit per miss, so importing the
-# module builds nothing and every caller sees the same answers.
-_CANONICAL: dict[Mono, Mono] = {}
-_ORBIT: dict[Mono, tuple[Mono, ...]] = {}
+class OrbitTable:
+    """Orbits of exponent vectors under a group of slot permutations.
+
+    ``rows`` lists the group elements in the form :func:`permute_mono`
+    takes.  The canonical form of an orbit is its lexicographically largest
+    member (for monomials of one degree that is also the graded-lex
+    largest).  The table is filled lazily, one whole orbit per miss, so an
+    orbit costs one image per row once and each later lookup one dict get.
+    """
+
+    __slots__ = ("rows", "canonical_of", "members")
+
+    def __init__(self, rows: Sequence[tuple[int, ...]]) -> None:
+        self.rows = rows
+        self.canonical_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.members: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+
+    def canonical(self, point: tuple[int, ...]) -> tuple[int, ...]:
+        """The canonical form of the orbit of ``point``."""
+        canonical = self.canonical_of.get(point)
+        if canonical is None:
+            images = {permute_mono(point, row) for row in self.rows}
+            canonical = max(images)
+            self.members[canonical] = tuple(images)
+            for image in images:
+                self.canonical_of[image] = canonical
+        return canonical
+
+
+# The orbits of the six distance exponents.  A pure function of ROWS, so
+# every caller sees the same answers; importing builds nothing.
+_MONOMIALS = OrbitTable(ROWS)
 
 
 def orbit_canonical(mono: Mono) -> Mono:
     """Graded-lex-maximal exponent vector in the orbit of ``mono``."""
-    canonical = _CANONICAL.get(mono)
-    if canonical is None:
-        images = {permute_mono(mono, row) for row in ROWS}
-        canonical = max(images)
-        _ORBIT[canonical] = tuple(images)
-        for image in images:
-            _CANONICAL[image] = canonical
-    return canonical
+    return _MONOMIALS.canonical(mono)
 
 
 def orbit_sum(poly: Poly) -> Poly:
@@ -152,7 +181,7 @@ def orbit_sum(poly: Poly) -> Poly:
     result: dict[Mono, Coeff] = {}
     for canonical, total in totals.items():
         if total:
-            orbit = _ORBIT[canonical]
+            orbit = _MONOMIALS.members[canonical]
             value = normalize_coeff(GROUP_ORDER // len(orbit) * total)
             for mono in orbit:
                 result[mono] = value
@@ -165,8 +194,20 @@ def sym_average(poly: Poly) -> Poly:
 
 
 def is_symmetric(poly: Poly) -> bool:
-    """True iff every table row fixes the polynomial."""
-    return all(apply_perm(poly, i) == poly for i in range(GROUP_ORDER))
+    """True iff every table row fixes the polynomial.
+
+    The rows fix a polynomial exactly when its coefficient is constant on
+    each orbit, so this compares every member of each orbit the support
+    meets with that orbit's canonical coefficient: one lookup per term of
+    a symmetric input instead of 24 permuted images.
+    """
+    terms = poly.terms
+    canonicals = {orbit_canonical(mono) for mono in terms}
+    return all(
+        terms.get(mono) == terms.get(canonical)
+        for canonical in canonicals
+        for mono in _MONOMIALS.members[canonical]
+    )
 
 
 def is_skew_symmetric(poly: Poly) -> bool:
@@ -229,8 +270,3 @@ def self_test() -> dict[str, int]:
         "even_rows": SIGNS.count(1),
         "identity_compositions": identity_hits,
     }
-
-
-def sorted_mono_descending(monos: Sequence[Mono]) -> list[Mono]:
-    """Descending graded-lex sort, shared by callers that build tables."""
-    return sorted(monos, key=mono_key, reverse=True)

@@ -83,6 +83,7 @@ def test_sample_flag_validation(capsys):
 def test_lp_flag_validation(capsys):
     assert run_cli("lp", "--basis", "t5") == 2
     assert run_cli("lp", "--extra", "w4") == 2
+    assert run_cli("lp", "--extra", "z4,z4") == 2
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from atiyah4 import catalog, certify, lp
 from atiyah4.linalg import gauss_jordan
-from atiyah4.polyring import variable
+from atiyah4.polyring import Poly, variable
+from atiyah4.symmetry import orbit_canonical
 from atiyah4.lp import (
     WITNESS,
     build_program,
@@ -105,7 +106,7 @@ def test_bad_float_basis_takes_the_exact_fallback(force, monkeypatch):
 @pytest.fixture(scope="module")
 def sec3_certificate():
     problem = build_program(sec3_basis())
-    rows, rhs = lp._independent_rows(*lp._dedupe_rows(problem))
+    rows, rhs = lp._independent_rows(problem.matrix, problem.rhs)
     state, basis, _ = lp._float_basis(rows, rhs)
     assert state == "optimal"
     x, y = lp._basis_solution(rows, rhs, basis)
@@ -155,6 +156,27 @@ def test_build_program_rejects_wrong_degree():
 def test_standard_basis_validates_extras():
     with pytest.raises(ValueError):
         standard_basis(["w4"])
+    with pytest.raises(ValueError, match="given twice"):
+        standard_basis(["z4", "n4", "z4"])
+
+
+def test_build_program_rejects_asymmetric_columns():
+    with pytest.raises(ValueError, match="'a6' is not symmetric"):
+        build_program([("a6", variable("a") ** 6)])
+    z4 = catalog.z4()
+    mono = next(m for m in z4.terms if orbit_canonical(m) != m)
+    bumped = Poly({**z4.terms, mono: z4.terms[mono] + 1})
+    assert bumped.is_homogeneous(6)
+    with pytest.raises(ValueError, match="'bumped' is not symmetric"):
+        build_program([("z4", z4), ("bumped", bumped)])
+
+
+def test_t6_program_has_one_row_per_orbit(t6_columns):
+    basis = [(catalog.format_alpha(alpha), poly) for alpha, poly in t6_columns]
+    problem = build_program(basis)
+    assert len(problem.matrix) == len(problem.rhs) == len(problem.monomials) == 32
+    assert all(mono == orbit_canonical(mono) for mono in problem.monomials)
+    assert len(set(problem.monomials)) == 32
 
 
 def test_standard_basis_shape(t6_columns):
@@ -199,17 +221,25 @@ def test_solution_support_matches_multipliers():
 
 
 def test_program_rows_are_deduplicated():
-    problem = build_program([("gap", catalog.d4() - 64 * catalog.p4())])
-    rows, rhs = lp._dedupe_rows(problem)
-    assert len(rows) == len(rhs)
-    assert len({tuple(r) + (v,) for r, v in zip(rows, rhs)}) == len(rows)
-    assert len(rows) <= len(problem.matrix)
+    # One row per orbit: no orbit appears twice and every monomial of d4,
+    # p4 and the column has its orbit's row.  Distinct orbits may still
+    # share a row's content (here 17 orbit rows carry 7 distinct contents);
+    # the row reduction drops those.
+    gap = catalog.d4() - 64 * catalog.p4()
+    problem = build_program([("gap", gap)])
+    rows, rhs = problem.matrix, problem.rhs
+    assert len(rows) == len(rhs) == len(set(problem.monomials))
+    support = set(catalog.d4().terms) | set(catalog.p4().terms) | set(gap.terms)
+    assert {orbit_canonical(mono) for mono in support} == set(problem.monomials)
+    assert len(rows) < len(support)
+    kept, kept_rhs = lp._independent_rows(rows, rhs)
+    assert len({tuple(r) + (v,) for r, v in zip(kept, kept_rhs)}) == len(kept)
 
 
 def test_row_reduction_keeps_an_independent_spanning_set():
     # rows [p4 | gap | d4] with d4 = 64 p4 + gap: rank 2 however many rows
     problem = build_program([("gap", catalog.d4() - 64 * catalog.p4())])
-    rows, rhs = lp._dedupe_rows(problem)
+    rows, rhs = problem.matrix, problem.rhs
     kept, kept_rhs = lp._independent_rows(rows, rhs)
     assert len(kept) == 2 < len(rows)
     assert all(row in rows for row in kept)

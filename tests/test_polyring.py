@@ -1,4 +1,4 @@
-"""Ring axioms, evaluation, enumeration, and the text format."""
+"""Ring axioms, evaluation and enumeration."""
 
 import math
 from fractions import Fraction
@@ -13,11 +13,8 @@ from atiyah4.polyring import (
     compositions,
     constant,
     from_terms,
-    from_text,
     mono_key,
     monomial,
-    monomials_of_degree,
-    to_text,
     variable,
     variables,
     zero,
@@ -181,32 +178,6 @@ def test_compositions_count_and_order():
     assert combos == sorted(combos, reverse=True)
     assert all(sum(c) == 6 and len(c) == 12 for c in combos)
     assert len(set(combos)) == len(combos)
-
-
-def test_monomials_of_degree():
-    quads = monomials_of_degree(2)
-    assert len(quads) == math.comb(2 + 5, 5)
-    assert all(sum(m) == 2 for m in quads)
-
-
-@given(polys())
-def test_text_round_trip(f):
-    assert from_text(to_text(f)) == f
-
-
-def test_text_format_examples():
-    a, b, c, x, y, z = variables()
-    p = 3 * a * b - Fraction(1, 2) * z**2
-    text = to_text(p)
-    assert from_text(text) == p
-    assert "3" in text and "1/2" in text
-
-
-def test_from_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        from_text("3 * a^2 +")
-    with pytest.raises(ValueError):
-        from_text("3 q^2")
 
 
 def test_evaluate_requires_six_values():

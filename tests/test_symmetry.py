@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atiyah4 import symmetry
-from atiyah4.polyring import Poly, variable, variables
+from atiyah4.polyring import Poly, mono_key, variable, variables
 from atiyah4.symmetry import (
     GROUP_ORDER,
     ROWS,
+    OrbitTable,
     SIGNS,
     apply_perm,
     compose,
@@ -144,7 +144,7 @@ def test_orbit_canonical_dominates(mono):
     canon = orbit_canonical(mono)
     images = [permute_mono(mono, row) for row in ROWS]
     assert canon in images
-    assert symmetry.sorted_mono_descending(images)[0] == canon
+    assert max(images, key=mono_key) == canon
 
 
 def reference_orbit_sum(poly):
@@ -200,3 +200,36 @@ def test_orbit_sum_keeps_ints_for_integral_fraction_totals():
 @given(monos)
 def test_orbit_canonical_is_the_maximum_image(mono):
     assert orbit_canonical(mono) == max(permute_mono(mono, row) for row in ROWS)
+
+
+def reference_is_symmetric(poly):
+    """The definition: every one of the 24 rows fixes the polynomial."""
+    return all(apply_perm(poly, i) == poly for i in range(GROUP_ORDER))
+
+
+@given(mixed_polys(max_terms=4), mixed_polys(max_terms=2), st.booleans())
+@settings(max_examples=120)
+def test_is_symmetric_matches_the_24_image_reference(f, g, symmetrize):
+    # Symmetrized inputs, and symmetrized inputs with a few terms moved,
+    # reach both answers; raw draws are almost never symmetric.
+    candidate = orbit_sum(f) + g if symmetrize else f
+    assert is_symmetric(candidate) == reference_is_symmetric(candidate)
+
+
+def test_is_symmetric_needs_every_orbit_member():
+    # Only the canonical monomial of an orbit: each present term matches its
+    # canonical coefficient, but the rest of the orbit is missing.
+    canonical = orbit_canonical((2, 1, 0, 0, 0, 0))
+    assert not is_symmetric(Poly({canonical: 1}))
+    assert is_symmetric(orbit_sum(Poly({canonical: 1})))
+    assert is_symmetric(Poly({}))
+
+
+@given(monos)
+def test_orbit_table_fills_whole_orbits(point):
+    table = OrbitTable(ROWS)
+    canonical = table.canonical(point)
+    images = {permute_mono(point, row) for row in ROWS}
+    assert set(table.members[canonical]) == images
+    assert len(table.members[canonical]) == len(images)
+    assert all(table.canonical_of[image] == canonical for image in images)

@@ -25,7 +25,14 @@ from typing import Sequence
 
 from . import polyring, symmetry
 from .polyring import Coeff, Poly
-from .symmetry import GROUP_ORDER, OrbitTable, apply_perm, sym_average
+from .symmetry import (
+    GROUP_ORDER,
+    OrbitTable,
+    apply_perm,
+    average_of_totals,
+    orbit_totals,
+    sym_average,
+)
 from .symmetry import orbit_sum  # noqa: F401  (perfbench/spans.py traces it here)
 
 A, B, C, X, Y, Z = polyring.variables()
@@ -267,7 +274,14 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, Poly]]:
     equal, in a deterministic order.  Two stages: multi-indices in the
     same orbit of the slot action provably average to the same polynomial,
     so only one representative per orbit is expanded; the final arbiter is
-    still full polynomial equality on the expanded forms.
+    still full polynomial equality.
+
+    Equality is decided on the integer orbit totals of t^alpha
+    (``symmetry.orbit_totals``), at most one per orbit of degree-order
+    monomials, and the average is written out only for the alphas kept.
+    This is exact: the average's coefficient on a monomial of orbit(c) is
+    totals[c] / |orbit(c)|, so two alphas have equal averages exactly
+    when they have equal totals.
 
     The compositions arrive in descending lex order, so the first member
     of each orbit to arrive is its canonical form: keeping exactly the
@@ -281,13 +295,13 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, Poly]]:
             f"the guard is {MAX_ENUMERATION_ORDER}"
         )
     orbits = OrbitTable(t_slot_action())
-    by_polynomial: dict[tuple, tuple[MultiIndex, Poly]] = {}
+    by_totals: dict[tuple, tuple[MultiIndex, dict]] = {}
     for alpha in polyring.compositions(order, N_TRIANGULAR):
         if orbits.canonical(alpha) != alpha:
             continue
-        averaged = av_t_alpha(alpha)
-        by_polynomial.setdefault(averaged.canonical_key(), (alpha, averaged))
-    return list(by_polynomial.values())
+        totals = orbit_totals(t_alpha_expand(alpha))
+        by_totals.setdefault(tuple(sorted(totals.items())), (alpha, totals))
+    return [(alpha, average_of_totals(totals)) for alpha, totals in by_totals.values()]
 
 
 def format_alpha(alpha: Sequence[int]) -> str:

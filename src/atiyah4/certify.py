@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, polyring
-from .catalog import MultiIndex, check_multi_index, t_alpha_expand
+from .catalog import MultiIndex, t_alpha_expand
 from .polyring import Coeff, Mono, Poly, mono_key
 from .symmetry import orbit_sum
 
@@ -91,19 +91,36 @@ _ALPHA_RE = re.compile(r"^alpha\s*=\s*\[([0-9,\s]*)\]$")
 
 
 def load_certificate(path: str | Path) -> Certificate:
-    """Parse a certificate file; all errors cite the offending line."""
+    """Parse a certificate file; all errors cite the offending line.
+
+    An error about something missing cites the line where the header
+    ended (for a header field) or where the file ended.
+    """
     path = Path(path)
     header: dict[str, str] = {}
     notes: list[str] = []
     sections: dict[str, list[tuple[MultiIndex, int]]] = {}
     current: list[tuple[MultiIndex, int]] | None = None
     pending_alpha: MultiIndex | None = None
+    seen: set[MultiIndex] = set()
+    header_end: int | None = None
 
     def fail(lineno: int, message: str):
         raise ValueError(f"{path.name}:{lineno}: {message}")
 
+    def integer(lineno: int, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's digit limit
+            fail(lineno, f"number with {len(digits)} digits is too long")
+
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        fail(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text")
     lineno = 0
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -115,6 +132,8 @@ def load_certificate(path: str | Path) -> Certificate:
                 fail(lineno, f"unknown section [{name}]")
             if name in sections:
                 fail(lineno, f"duplicate section [{name}]")
+            if header_end is None:
+                header_end = lineno
             sections[name] = []
             current = sections[name]
             continue
@@ -129,6 +148,9 @@ def load_certificate(path: str | Path) -> Certificate:
                 notes.append(value)
             elif key in header:
                 fail(lineno, f"duplicate header field {key!r}")
+            elif key == "scale" and (not re.fullmatch(r"[0-9]+", value)
+                                     or integer(lineno, value) < 1):
+                fail(lineno, f"scale must be a positive integer, got {value!r}")
             else:
                 header[key] = value
             continue
@@ -141,13 +163,16 @@ def load_certificate(path: str | Path) -> Certificate:
             entries = [p for p in match.group(1).replace(",", " ").split() if p]
             if len(entries) != 12:
                 fail(lineno, f"alpha needs 12 entries, got {len(entries)}")
-            pending_alpha = tuple(int(p) for p in entries)
+            pending_alpha = tuple(integer(lineno, p) for p in entries)
+            if pending_alpha in seen:
+                fail(lineno, f"duplicate multi-index {pending_alpha}")
+            seen.add(pending_alpha)
         elif key == "coeff":
             if pending_alpha is None:
                 fail(lineno, "coeff line without a preceding alpha")
-            if not re.fullmatch(r"-?\d+", value):
+            if not re.fullmatch(r"-?[0-9]+", value):
                 fail(lineno, f"coeff must be a decimal integer, got {value!r}")
-            coeff = int(value)
+            coeff = integer(lineno, value)
             if coeff <= 0:
                 fail(lineno, f"coefficients must be positive, got {coeff}")
             assert current is not None
@@ -160,18 +185,10 @@ def load_certificate(path: str | Path) -> Certificate:
         fail(lineno, "file ends inside an alpha record")
     for required in ("id", "scale", "slot_mapping", "source"):
         if required not in header:
-            raise ValueError(f"{path.name}: missing header field {required!r}")
-    if not re.fullmatch(r"\d+", header["scale"]) or int(header["scale"]) < 1:
-        raise ValueError(f"{path.name}: scale must be a positive integer")
+            fail(header_end or lineno, f"missing header field {required!r}")
     if "terms" not in sections:
-        raise ValueError(f"{path.name}: missing [terms] section")
+        fail(lineno, "missing [terms] section")
     terms = sections["terms"]
-    seen = set()
-    for alpha, _ in terms + sections.get("multiplier_terms", []):
-        check_multi_index(alpha)
-        if alpha in seen:
-            raise ValueError(f"{path.name}: duplicate multi-index {alpha}")
-        seen.add(alpha)
     return Certificate(
         cert_id=header["id"],
         scale=int(header["scale"]),
@@ -204,7 +221,7 @@ def save_certificate(cert: Certificate, path: str | Path) -> None:
         lines.append(f"alpha = [{', '.join(map(str, alpha))}]")
         lines.append(f"coeff = {coeff}")
     lines.append("")
-    Path(path).write_text("\n".join(lines))
+    Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
 def bundled_certificate_dir() -> Path:

@@ -124,6 +124,10 @@ def _certificate_check(name: str, cert_dir: Path | None) -> dict:
         report = certify.run_certificate_check(name, cert_dir)
     except FileNotFoundError as exc:
         raise UsageError(f"missing certificate file: {exc.filename}") from exc
+    except OSError as exc:
+        raise UsageError(
+            f"cannot read certificate file {exc.filename}: {exc.strerror}"
+        ) from exc
     except ValueError as exc:
         return _check_entry(
             name, "fail", time.perf_counter() - started, f"unusable certificate: {exc}"

@@ -495,13 +495,21 @@ def upper_bound_check(basis: Sequence[tuple[str, Poly]]) -> BoundReport:
     powers: dict[Mono, Coeff] = {}  # witness monomial -> its value there
 
     def at_witness(poly: Poly) -> Coeff:
-        total: Coeff = 0
+        # Exact, but in ints: ints and Fractions both carry numerator and
+        # denominator, so numerator * value is added into one int per
+        # denominator (a column has few; averages divide by orbit sizes) and
+        # one Fraction per denominator is formed at the end, in place of two
+        # Fraction operations per term.
+        by_denominator: dict[int, int] = {}
+        get = by_denominator.get
         for mono, coeff in poly.terms.items():
             value = powers.get(mono)
             if value is None:
                 value = powers[mono] = math.prod(w ** e for w, e in zip(WITNESS, mono))
-            total += coeff * value
-        return total
+            denominator = coeff.denominator
+            by_denominator[denominator] = get(denominator, 0) + coeff.numerator * value
+        return sum(Fraction(total, denominator)
+                   for denominator, total in by_denominator.items())
 
     d4_value = at_witness(catalog.d4())
     p4_value = at_witness(catalog.p4())

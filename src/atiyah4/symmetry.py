@@ -23,7 +23,7 @@ coefficients on the orbit-canonical monomials (Gatermann & Parrilo,
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .polyring import Coeff, Mono, N_VARS, Poly, normalize_coeff
 
@@ -156,6 +156,34 @@ def orbit_canonical(mono: Mono) -> Mono:
     return _MONOMIALS.canonical(mono)
 
 
+def orbit_totals(poly: Poly) -> dict[Mono, Coeff]:
+    """The orbit-compressed form of ``poly``.
+
+    Maps each orbit-canonical monomial c to sum(p[m] for m in orbit(c));
+    orbits whose total is zero are left out.  Every orbit sum and every
+    symmetric average of ``poly`` is a function of these totals alone
+    (Gatermann & Parrilo, 2004): see :func:`orbit_sum` and
+    :func:`average_of_totals`.
+    """
+    totals: dict[Mono, Coeff] = {}
+    get = totals.get
+    for mono, coeff in poly.terms.items():
+        canonical = orbit_canonical(mono)
+        totals[canonical] = get(canonical, 0) + coeff
+    return {c: normalize_coeff(total) for c, total in totals.items() if total}
+
+
+def _spread(totals: Mapping[Mono, Coeff], weight: Callable[[int], Coeff]) -> Poly:
+    """Write weight(|orbit(c)|) * totals[c] to every member of each orbit c."""
+    result: dict[Mono, Coeff] = {}
+    for canonical, total in totals.items():
+        orbit = _MONOMIALS.members[canonical]
+        value = normalize_coeff(weight(len(orbit)) * total)
+        for mono in orbit:
+            result[mono] = value
+    return Poly._raw(result)
+
+
 def orbit_sum(poly: Poly) -> Poly:
     """Sum of the 24 permuted images of ``poly`` (24 times the average).
 
@@ -173,24 +201,21 @@ def orbit_sum(poly: Poly) -> Poly:
     accumulate these sums with integer coefficients and divide once at the
     very end.
     """
-    totals: dict[Mono, Coeff] = {}
-    get = totals.get
-    for mono, coeff in poly.terms.items():
-        canonical = orbit_canonical(mono)
-        totals[canonical] = get(canonical, 0) + coeff
-    result: dict[Mono, Coeff] = {}
-    for canonical, total in totals.items():
-        if total:
-            orbit = _MONOMIALS.members[canonical]
-            value = normalize_coeff(GROUP_ORDER // len(orbit) * total)
-            for mono in orbit:
-                result[mono] = value
-    return Poly._raw(result)
+    return _spread(orbit_totals(poly), lambda size: GROUP_ORDER // size)
+
+
+def average_of_totals(totals: Mapping[Mono, Coeff]) -> Poly:
+    """The symmetric average whose :func:`orbit_totals` are ``totals``.
+
+    The average is orbit_sum / 24, so member n of orbit(c) gets
+    |Stab(c)| * totals[c] / 24 = totals[c] / |orbit(c)|.
+    """
+    return _spread(totals, lambda size: Fraction(1, size))
 
 
 def sym_average(poly: Poly) -> Poly:
     """The symmetric average: mean of the 24 permuted images."""
-    return orbit_sum(poly).scale(Fraction(1, 24))
+    return average_of_totals(orbit_totals(poly))
 
 
 def is_symmetric(poly: Poly) -> bool:

@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atiyah4 import catalog
-from atiyah4.polyring import variables
-from atiyah4.symmetry import apply_perm, is_skew_symmetric, is_symmetric, permute_tuple
+from atiyah4.polyring import compositions, variables
+from atiyah4.symmetry import (
+    GROUP_ORDER,
+    apply_perm,
+    is_skew_symmetric,
+    is_symmetric,
+    permute_tuple,
+)
 
 ONES = (1, 1, 1, 1, 1, 1)
 
@@ -203,6 +209,44 @@ def test_enumerate_T_small_orders():
     assert all(sum(alpha) == 2 for alpha, _ in degree_two)
     keys = {poly.canonical_key() for _, poly in degree_two}
     assert len(keys) == len(degree_two)
+
+
+def reference_enumerate_T(order):
+    """The definition: expand and average every canonical alpha, drop repeats.
+
+    Canonical means the largest of the 24 slot images; the average is the
+    mean of the 24 permuted polynomials; a column is kept unless an earlier
+    kept column has the same ``canonical_key()``.
+    """
+    action = catalog.t_slot_action()
+    kept = {}
+    for alpha in compositions(order, 12):
+        images = []
+        for row in action:
+            image = [0] * 12
+            for k in range(12):
+                image[row[k]] = alpha[k]
+            images.append(tuple(image))
+        if max(images) != alpha:
+            continue
+        expanded = catalog.t_alpha_expand(alpha)
+        total = expanded
+        for i in range(1, GROUP_ORDER):
+            total = total + apply_perm(expanded, i)
+        averaged = total.scale(Fraction(1, GROUP_ORDER))
+        kept.setdefault(averaged.canonical_key(), (alpha, averaged))
+    return list(kept.values())
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_enumerate_T_matches_the_reference(order):
+    columns = catalog.enumerate_T(order)
+    reference = reference_enumerate_T(order)
+    assert [alpha for alpha, _ in columns] == [alpha for alpha, _ in reference]
+    # repr tells an int coefficient from an integral Fraction
+    assert [repr(poly.canonical_key()) for _, poly in columns] == [
+        repr(poly.canonical_key()) for _, poly in reference
+    ]
 
 
 def test_enumerate_T_six_is_frozen(t6_columns):

@@ -1,9 +1,13 @@
 """Certificate parsing, the residual checker, and error localization."""
 
 import dataclasses
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atiyah4 import catalog, certify
 from atiyah4.certify import (
@@ -95,6 +99,113 @@ def test_loader_reports_line_numbers(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"mangled\.cert:\d+"):
         load_certificate(path)
+
+
+SEC3_LINES = (bundled_certificate_dir() / "sec3.cert").read_text().splitlines()
+
+
+def _load_lines(tmp_path, lines):
+    path = tmp_path / "sec3.cert"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return load_certificate(path)
+
+
+def _line_of(prefix, occurrence=1):
+    hits = [n for n, line in enumerate(SEC3_LINES, start=1) if line.startswith(prefix)]
+    return hits[occurrence - 1]
+
+
+def test_duplicate_multi_index_cites_the_repeated_alpha(tmp_path):
+    first = _line_of("alpha")
+    lines = SEC3_LINES + SEC3_LINES[first - 1 : first + 1]
+    repeated = len(SEC3_LINES) + 1
+    with pytest.raises(ValueError, match=rf"^sec3\.cert:{repeated}: duplicate"):
+        _load_lines(tmp_path, lines)
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "three", "3.0", "\u0663"])
+def test_bad_scale_cites_the_scale_line(tmp_path, value):
+    line = _line_of("scale")
+    lines = list(SEC3_LINES)
+    lines[line - 1] = f"scale = {value}"
+    with pytest.raises(ValueError, match=rf"^sec3\.cert:{line}: scale"):
+        _load_lines(tmp_path, lines)
+
+
+def test_missing_header_field_cites_the_end_of_the_header(tmp_path):
+    lines = [line for line in SEC3_LINES if not line.startswith("source")]
+    header_end = lines.index("[terms]") + 1
+    with pytest.raises(ValueError, match=rf"^sec3\.cert:{header_end}: missing header"):
+        _load_lines(tmp_path, lines)
+    # A file with no section at all ends its header at its last line.
+    with pytest.raises(ValueError, match=r"^sec3\.cert:3: missing header field 'source'"):
+        _load_lines(tmp_path, SEC3_LINES[:3])
+
+
+def test_missing_terms_section_cites_the_end_of_the_file(tmp_path):
+    header_only = SEC3_LINES[: SEC3_LINES.index("[terms]")] + ["# no terms"]
+    end = len(header_only)
+    with pytest.raises(ValueError, match=rf"^sec3\.cert:{end}: missing \[terms\]"):
+        _load_lines(tmp_path, header_only)
+
+
+@pytest.mark.parametrize("digit", ["\u0666", "\uff16", "\u096c"])
+def test_coeff_must_use_ascii_digits(tmp_path, digit):
+    # Arabic-Indic, fullwidth and Devanagari six: int() would read each as 6.
+    line = _line_of("coeff")
+    lines = list(SEC3_LINES)
+    lines[line - 1] = f"coeff = {digit}"
+    with pytest.raises(ValueError, match=rf"^sec3\.cert:{line}: coeff must be"):
+        _load_lines(tmp_path, lines)
+
+
+def test_undecodable_bytes_cite_their_line(tmp_path):
+    path = tmp_path / "sec3.cert"
+    line = _line_of("coeff", 2)
+    lines = [text.encode() for text in SEC3_LINES]
+    lines[line - 1] = b"coeff = \xff"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=rf"^sec3\.cert:{line}: not UTF-8"):
+        load_certificate(path)
+
+
+def test_overlong_numbers_cite_their_line(tmp_path):
+    line = _line_of("coeff", 3)
+    lines = list(SEC3_LINES)
+    lines[line - 1] = "coeff = " + "7" * 5000
+    with pytest.raises(ValueError, match=rf"^sec3\.cert:{line}: number with 5000 digits"):
+        _load_lines(tmp_path, lines)
+
+
+garbage = st.text(max_size=12)
+
+
+@st.composite
+def mutated_sec3(draw):
+    """sec3.cert with one line deleted, one line doubled, or one token replaced."""
+    lines = list(SEC3_LINES)
+    index = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    kind = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+    if kind == "delete":
+        del lines[index]
+    elif kind == "duplicate":
+        lines.insert(index, lines[index])
+    else:
+        tokens = re.split(r"(\s+|[=,\[\]])", lines[index])
+        slot = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+        tokens[slot] = draw(garbage)
+        lines[index] = "".join(tokens)
+    return lines
+
+
+@given(mutated_sec3())
+@settings(max_examples=300, deadline=None)
+def test_mutated_sec3_loads_or_fails_citing_a_line(lines):
+    with tempfile.TemporaryDirectory() as directory:
+        try:
+            _load_lines(Path(directory), lines)
+        except ValueError as exc:
+            assert re.match(r"^sec3\.cert:\d+: ", str(exc)), str(exc)
 
 
 def test_sec3_certificate_verifies():

@@ -118,6 +118,14 @@ def test_missing_certificate_file(tmp_path, capsys):
     assert "missing certificate" in capsys.readouterr().err
 
 
+def test_unreadable_certificate_file_is_usage_error(tmp_path, capsys):
+    (tmp_path / "sec3.cert").mkdir()
+    assert run_cli("--certs", str(tmp_path), "verify", "sec3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(tmp_path / "sec3.cert") in err
+
+
 def _copy_certs(target: Path) -> None:
     for path in certify.bundled_certificate_dir().glob("*.cert"):
         (target / path.name).write_text(path.read_text())

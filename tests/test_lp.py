@@ -212,6 +212,65 @@ def test_ceiling_argument_voids_on_negative_columns():
     assert report.negative_columns == ("low", "bad")
 
 
+#: 1/TINY is far below float resolution next to column values at the witness.
+TINY = 10**15 + 37
+
+ONE = Poly({(0,) * 6: 1})
+
+
+def _fraction_column():
+    """Mixed degrees and several denominators, none of them 1."""
+    a, b, z = variable("a"), variable("b"), variable("z")
+    return (catalog.p4().scale(Fraction(5, 7)) - (a * b * z).scale(Fraction(11, 3))
+            + (a ** 4).scale(Fraction(-2, 9)))
+
+
+def test_ceiling_names_a_fraction_column_just_below_zero():
+    column = _fraction_column()
+    assert all(coeff.denominator > 1 for coeff in column.terms.values())
+    value = column.evaluate(WITNESS)
+    low = column - ONE.scale(value + Fraction(1, TINY))
+    zero = column - ONE.scale(value)
+    assert low.evaluate(WITNESS) == Fraction(-1, TINY)
+    assert zero.evaluate(WITNESS) == 0
+    report = upper_bound_check([("zero", zero), ("low", low), ("p4", catalog.p4())])
+    assert not report.applicable
+    assert report.bound is None
+    assert report.negative_columns == ("low",)
+    report = upper_bound_check([("zero", zero), ("p4", catalog.p4())])
+    assert report.applicable and report.bound == 64
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+)
+exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 6)
+
+
+@st.composite
+def witness_columns(draw):
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=5))
+    column = Poly(terms)
+    # Shift some columns to land exactly on 0 or one TINY step either side.
+    shift = draw(st.sampled_from([None, -1, 0, 1]))
+    if shift is not None:
+        column = column - ONE.scale(column.evaluate(WITNESS) + Fraction(shift, TINY))
+    return column
+
+
+@given(st.lists(witness_columns(), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_ceiling_applies_exactly_when_every_column_is_nonnegative(columns):
+    basis = [(f"f{i}", column) for i, column in enumerate(columns)]
+    report = upper_bound_check(basis)
+    values = [column.evaluate(WITNESS) for column in columns]
+    assert report.applicable == all(value >= 0 for value in values)
+    assert report.negative_columns == tuple(
+        name for (name, _), value in zip(basis, values) if value < 0
+    )
+
+
 def test_solution_support_matches_multipliers():
     gap = catalog.d4() - 64 * catalog.p4()
     solution = solve(build_program([("gap", gap)]))

@@ -13,11 +13,13 @@ from atiyah4.symmetry import (
     OrbitTable,
     SIGNS,
     apply_perm,
+    average_of_totals,
     compose,
     is_skew_symmetric,
     is_symmetric,
     orbit_canonical,
     orbit_sum,
+    orbit_totals,
     permute_mono,
     permute_tuple,
     self_test,
@@ -187,6 +189,31 @@ def test_orbit_sum_of_cancelling_images(g, i, h):
     assert orbit_sum(cancelling).is_zero()
     assert reference_orbit_sum(cancelling).is_zero()
     assert orbit_sum(h + cancelling) == reference_orbit_sum(h) == orbit_sum(h)
+
+
+@given(mixed_polys())
+@settings(max_examples=120)
+def test_spreading_orbit_totals_reproduces_the_24_image_definitions(f):
+    totals = orbit_totals(f)
+    assert all(orbit_canonical(c) == c and total for c, total in totals.items())
+    summed = reference_orbit_sum(f)
+    averaged = summed.scale(Fraction(1, GROUP_ORDER))
+    assert average_of_totals(totals) == sym_average(f) == averaged
+    # Each member n of orbit(c) gets |Stab(c)| * totals[c] in the orbit sum.
+    for mono, coeff in summed.terms.items():
+        orbit_size = len({permute_mono(mono, row) for row in ROWS})
+        assert coeff == GROUP_ORDER // orbit_size * totals[orbit_canonical(mono)]
+    if all(type(c) is int for c in f.terms.values()):
+        assert all(type(c) is int for c in totals.values())
+
+
+def test_orbit_totals_drop_cancelled_orbits():
+    a, b = variable("a"), variable("b")
+    assert orbit_totals(a - b) == {}
+    assert orbit_totals(a * a - b * b + 3 * a) == {(1, 0, 0, 0, 0, 0): 3}
+    half = Fraction(1, 2)
+    assert orbit_totals(a.scale(half) + b.scale(half)) == {(1, 0, 0, 0, 0, 0): 1}
+    assert type(orbit_totals(a.scale(half) + b.scale(half))[(1, 0, 0, 0, 0, 0)]) is int
 
 
 def test_orbit_sum_keeps_ints_for_integral_fraction_totals():

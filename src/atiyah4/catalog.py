@@ -11,8 +11,9 @@ the package reasons about:
 * ``m4``, ``P4``, ``M4``: the pieces of the degree-12 identities behind
   the inequality |At|^2 >= product of the four 3-point determinants.
 * the twelve triangular variables ``t1 .. t12`` (triangle-inequality slack
-  in each face), monomials ``t^alpha`` and their symmetric averages, and
-  the family ``T_ell`` of all averaged order-``ell`` monomials.
+  in each face), monomials ``t^alpha``, combinations sum(lam t^alpha)
+  over a table, their symmetric averages, and the family ``T_ell`` of all
+  averaged order-``ell`` monomials.
 
 All constructions are cached; treat every returned Poly as immutable.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import polyring, symmetry
 from .polyring import Coeff, Poly
@@ -254,6 +255,41 @@ def t_alpha_expand(alpha: Sequence[int]) -> Poly:
         for _ in range(exponent):
             result = result * basis[k]
     return result
+
+
+def t_combination(terms: Iterable[tuple[Sequence[int], Coeff]]) -> Poly:
+    """Expand sum(lam * t^alpha) over a table as a Horner scheme over faces.
+
+    The faces (a b x), (b c y), (a c z), (x y z) own slots 1-3, 4-6, 7-9
+    and 10-12.  Rows are grouped by their face-1 exponents (e1, e2, e3),
+    each group's faces 2-4 are summed the same way, and that inner sum is
+    multiplied once by the face block t1^e1 t2^e2 t3^e3, so a block shared
+    by many rows costs one product instead of one per row.  Each block is
+    expanded once per call; groups keep the order rows first appear in.
+    """
+    blocks: dict[tuple[int, ...], Poly] = {}
+
+    def block(face: int, exponents: tuple[int, ...]) -> Poly:
+        alpha = (0,) * (3 * face) + exponents + (0,) * (9 - 3 * face)
+        poly = blocks.get(alpha)
+        if poly is None:
+            poly = blocks[alpha] = t_alpha_expand(alpha)
+        return poly
+
+    def horner(rows: list[tuple[MultiIndex, Coeff]], face: int) -> Poly:
+        groups: dict[tuple[int, ...], list[tuple[MultiIndex, Coeff]]] = {}
+        for row in rows:
+            groups.setdefault(row[0][3 * face : 3 * face + 3], []).append(row)
+        total = polyring.zero()
+        for exponents, group in groups.items():
+            if face == 3:  # the last face: the group's rows share one alpha
+                term = block(face, exponents).scale(sum(lam for _, lam in group))
+            else:
+                term = block(face, exponents) * horner(group, face + 1)
+            total = total + term
+        return total
+
+    return horner([(check_multi_index(alpha), lam) for alpha, lam in terms], 0)
 
 
 def av_t_alpha(alpha: Sequence[int]) -> Poly:

@@ -231,7 +231,11 @@ def cmd_verify(args) -> dict:
 def cmd_lp(args) -> dict:
     if args.basis != "t6":
         raise UsageError(f"unknown basis {args.basis!r}; only t6 is defined")
-    extras = [token.strip() for token in args.extra.split(",") if token.strip()]
+    extras = [token.strip() for token in args.extra.split(",")]
+    if extras == [""]:
+        extras = []
+    elif "" in extras:
+        raise UsageError(f"empty name in --extra {args.extra!r}")
     try:
         basis = lp.standard_basis(extras)
     except ValueError as exc:

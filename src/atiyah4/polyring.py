@@ -34,7 +34,7 @@ _ZERO_MONO: Mono = (0, 0, 0, 0, 0, 0)
 
 def normalize_coeff(value: Coeff) -> Coeff:
     """Collapse a Fraction with denominator 1 to a plain int."""
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         if value.denominator == 1:
             return value.numerator
         return value
@@ -195,7 +195,7 @@ class Poly:
                 elif mono in result:
                     del result[mono]
         for mono, coeff in result.items():
-            if isinstance(coeff, Fraction) and coeff.denominator == 1:
+            if type(coeff) is Fraction and coeff.denominator == 1:
                 result[mono] = coeff.numerator
         return Poly._raw(result)
 

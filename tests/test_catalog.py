@@ -163,6 +163,43 @@ def test_t_alpha_expand_simple_cases():
     assert catalog.t_alpha_expand(two) == basis[0] * basis[0]
 
 
+FACE_BLOCKS = [block for total in range(3) for block in compositions(total, 3)]
+
+
+@st.composite
+def tables(draw):
+    """Rows of order 0-8 built from a few exponent blocks per face, so that
+    rows share face prefixes; some rows come with a cancelling partner."""
+    pools = [
+        draw(st.lists(st.sampled_from(FACE_BLOCKS), min_size=1, max_size=3))
+        for _ in range(4)
+    ]
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        alpha = sum((draw(st.sampled_from(pool)) for pool in pools), ())
+        lam = draw(st.integers(min_value=-5, max_value=5) | rationals)
+        rows.append((alpha, lam))
+        if draw(st.booleans()):
+            rows.append((alpha, -lam))
+    if draw(st.booleans()):
+        rows.append(((0,) * 12, draw(st.integers(min_value=-5, max_value=5))))
+    return draw(st.permutations(rows))
+
+
+@given(tables())
+@settings(max_examples=60, deadline=None)
+def test_t_combination_is_the_sum_of_its_rows(rows):
+    expected = catalog.polyring.zero()
+    for alpha, lam in rows:
+        expected = expected + lam * catalog.t_alpha_expand(alpha)
+    assert catalog.t_combination(rows) == expected
+
+
+def test_t_combination_of_no_rows_is_zero():
+    assert catalog.t_combination([]).is_zero()
+    assert catalog.t_combination([((0,) * 12, 3)]) == catalog.polyring.constant(3)
+
+
 @given(alphas, points)
 @settings(max_examples=25, deadline=None)
 def test_av_t_alpha_matches_numeric_average(alpha, u):

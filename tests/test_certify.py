@@ -290,6 +290,18 @@ def test_table_sum_equals_sum_of_row_orbit_sums(cert_id, rows):
     assert combination_orbit_sum(terms) == expected
 
 
+@pytest.mark.parametrize(
+    "cert_id, section",
+    [("eq42", "terms"), ("eq53", "multiplier_terms"), ("eq53", "terms")],
+)
+def test_face_horner_sum_equals_row_by_row_sum(cert_id, section):
+    terms = getattr(load_bundled(cert_id), section)
+    expected = Poly({})
+    for alpha, lam in terms:
+        expected = expected + lam * catalog.t_alpha_expand(alpha)
+    assert catalog.t_combination(terms) == expected
+
+
 def test_eq42_bumped_coefficient_leaves_minus_its_average():
     tampered, alpha = _with_coeff_bumped(load_bundled("eq42"), "terms", 17)
     report = check_eq42(tampered)

@@ -80,10 +80,25 @@ def test_sample_flag_validation(capsys):
     assert run_cli("sample", "--count", "0") == 2
 
 
-def test_lp_flag_validation(capsys):
+def test_lp_flag_validation(monkeypatch, capsys):
     assert run_cli("lp", "--basis", "t5") == 2
     assert run_cli("lp", "--extra", "w4") == 2
     assert run_cli("lp", "--extra", "z4,z4") == 2
+    capsys.readouterr()
+    for extra in ("z4,,n4", "z4,", ",z4", ","):
+        assert run_cli("lp", "--extra", extra) == 2
+        assert "empty name in --extra" in capsys.readouterr().err
+    # An empty list as a whole still means no extras.
+    requested = []
+    gap = catalog.d4() - 64 * catalog.p4()
+
+    def basis(extras):
+        requested.append(extras)
+        return [("gap", gap)]
+
+    monkeypatch.setattr(lp, "standard_basis", basis)
+    assert run_cli("lp", "--extra", "") == 0
+    assert requested == [[]]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -21,12 +21,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 from . import catalog
 from .linalg import gauss_jordan
-from .polyring import normalize_coeff
+from .polyring import float_evaluator, normalize_coeff
 
 Point3 = tuple[float, float, float]
 Spinor = tuple[complex, complex]
@@ -59,7 +59,7 @@ def hopf_lift(vector: Sequence[float]) -> Spinor:
     w = sqrt(r - t) and z = zeta/w.  Raises ValueError on the zero
     vector, which signals coincident points upstream.
     """
-    t, p, q = (float(component) for component in vector)
+    t, p, q = map(float, vector)
     r = math.hypot(t, p, q)
     if r == 0.0:
         raise ValueError("cannot lift the zero vector (coincident points)")
@@ -85,26 +85,6 @@ def paired_lift(i: int, j: int, lift_ij: Spinor) -> Spinor:
     return (-w.conjugate(), z.conjugate())
 
 
-def _lift_table(
-    points: Sequence[Point3], pair_phases: Sequence[complex] | None
-) -> dict[tuple[int, int], Spinor]:
-    pairs = list(combinations(range(len(points)), 2))
-    if pair_phases is not None and len(pair_phases) != len(pairs):
-        raise ValueError(f"expected {len(pairs)} pair phases, got {len(pair_phases)}")
-    table = {}
-    for index, (i, j) in enumerate(pairs):
-        direction = tuple(points[j][k] - points[i][k] for k in range(3))
-        try:
-            z, w = hopf_lift(direction)
-        except ValueError:
-            raise ValueError(f"points {i} and {j} coincide") from None
-        if pair_phases is not None:
-            lam = complex(pair_phases[index])
-            z, w = lam * z, lam * w
-        table[i, j] = (z, w)
-    return table
-
-
 def atiyah_matrix(
     points: Sequence[Point3], pair_phases: Sequence[complex] | None = None
 ) -> list[list[complex]]:
@@ -112,8 +92,9 @@ def atiyah_matrix(
 
     Column j is the plain (unweighted) coefficient vector of
     prod_{k != j} (z_k xi + w_k eta) in the basis xi^(n-1), xi^(n-2) eta,
-    ..., eta^(n-1).  Lifts are built once per unordered pair; the reversed
-    direction always uses the partner lift.
+    ..., eta^(n-1).  Lifts are built once per unordered pair i < j and
+    kept in an n x n table: entry [i][j] is the lift, entry [j][i] its
+    partner for the reversed direction.
 
     ``pair_phases`` optionally multiplies the lift of each pair (in
     combinations order) by a unit-modulus factor; the determinant must not
@@ -122,27 +103,37 @@ def atiyah_matrix(
     n = len(points)
     if not 2 <= n <= 6:
         raise ValueError("supported point counts are 2..6")
-    for point in points:
-        if not all(math.isfinite(float(c)) for c in point):
-            raise ValueError("point coordinates must be finite")
-    lifts = _lift_table(points, pair_phases)
+    if not all(map(math.isfinite, chain.from_iterable(points))):
+        raise ValueError("point coordinates must be finite")
+    pairs = list(combinations(range(n), 2))
+    if pair_phases is not None and len(pair_phases) != len(pairs):
+        raise ValueError(f"expected {len(pairs)} pair phases, got {len(pair_phases)}")
+    lifts: list[list[Spinor | None]] = [[None] * n for _ in range(n)]
+    for index, (i, j) in enumerate(pairs):
+        p, q = points[i], points[j]
+        try:
+            z, w = hopf_lift((q[0] - p[0], q[1] - p[1], q[2] - p[2]))
+        except ValueError:
+            raise ValueError(f"points {i} and {j} coincide") from None
+        if pair_phases is not None:
+            lam = complex(pair_phases[index])
+            z, w = lam * z, lam * w
+        lifts[i][j] = (z, w)
+        lifts[j][i] = paired_lift(i, j, (z, w))
     columns = []
-    for j in range(n):
+    for j, row_lifts in enumerate(lifts):
         coeffs = [complex(1.0)]
-        for k in range(n):
+        for k, lift in enumerate(row_lifts):
             if k == j:
                 continue
-            if j < k:
-                z, w = lifts[j, k]
-            else:
-                z, w = paired_lift(k, j, lifts[k, j])
+            z, w = lift
             grown = [complex(0.0)] * (len(coeffs) + 1)
             for row, value in enumerate(coeffs):
                 grown[row] += z * value
                 grown[row + 1] += w * value
             coeffs = grown
         columns.append(coeffs)
-    return [[columns[j][row] for j in range(n)] for row in range(n)]
+    return [list(row) for row in zip(*columns)]
 
 
 def _det_complex(matrix: list[list[complex]]) -> complex:
@@ -151,7 +142,11 @@ def _det_complex(matrix: list[list[complex]]) -> complex:
     n = len(work)
     det = complex(1.0)
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(work[r][col]))
+        pivot_row, largest = col, abs(work[col][col])
+        for r in range(col + 1, n):
+            size = abs(work[r][col])
+            if size > largest:
+                pivot_row, largest = r, size
         if work[pivot_row][col] == 0:
             return complex(0.0)
         if pivot_row != col:
@@ -411,18 +406,8 @@ def geometric_distance_samples(
 
 @lru_cache(maxsize=None)
 def _float_fn(name: str):
-    """Compile a catalog polynomial into a fast float evaluator."""
-    poly = catalog.named_polynomials()[name]
-    terms = tuple((float(coeff), mono) for mono, coeff in poly.sorted_terms())
-
-    def evaluate(u):
-        av, bv, cv, xv, yv, zv = (float(v) for v in u)
-        total = 0.0
-        for coeff, (ea, eb, ec, ex, ey, ez) in terms:
-            total += coeff * av**ea * bv**eb * cv**ec * xv**ex * yv**ey * zv**ez
-        return total
-
-    return evaluate
+    """Compiled float evaluator of a catalog polynomial, built on first use."""
+    return float_evaluator(catalog.named_polynomials()[name])
 
 
 def _d3_float(p: float, q: float, r: float) -> float:
@@ -451,7 +436,9 @@ class SampleStats:
 
     Deviations are relative to the determinant scale; margins are ratios
     (lhs / rhs) of the inequality under test, so anything >= 1 - slack
-    passes.  Fields that do not apply to the sampled n stay None.
+    passes.  A deviation or margin that is not finite is a violation, and
+    a NaN is carried into the worst figure rather than dropped.  Fields
+    that do not apply to the sampled n stay None.
     """
 
     n: int
@@ -474,6 +461,21 @@ class SampleStats:
 
     def passed(self) -> bool:
         return self.identity_violations == 0 and self.margin_violations == 0
+
+
+def _new_high(value: float, worst: float) -> bool:
+    """True when a deviation beats the worst so far; the first NaN wins and stays."""
+    return not (math.isnan(worst) or value <= worst)
+
+
+def _new_low(value: float, worst: float) -> bool:
+    """True when a margin undercuts the worst so far; the first NaN wins and stays."""
+    return not (math.isnan(worst) or value >= worst)
+
+
+def _margin_holds(margin: float, slack: float) -> bool:
+    """The margin is finite and at least 1 - slack; NaN and inf do not hold."""
+    return 1.0 - slack <= margin < math.inf
 
 
 def _config_seed(seed: int, index: int) -> int:
@@ -523,18 +525,19 @@ def run_samples(
         magnitude = abs(at)
 
         pair_margin = magnitude / max(_pairwise_product(points), _TINY)
-        if pair_margin < min_pair:
+        if _new_low(pair_margin, min_pair):
             min_pair = pair_margin
             worst_index = index
             worst_seed = config_seed
-        if pair_margin < 1.0 - margin_slack:
+        if not _margin_holds(pair_margin, margin_slack):
             margin_violations += 1
 
         if n == 2:
             reference = 2.0 * math.dist(points[0], points[1])
             deviation = abs(at - reference) / reference
-            line_dev = max(line_dev, deviation)
-            if deviation > tol:
+            if _new_high(deviation, line_dev):
+                line_dev = deviation
+            if not deviation <= tol:
                 identity_violations += 1
         elif n == 3:
             sx = math.dist(points[0], points[1])
@@ -542,23 +545,28 @@ def run_samples(
             sz = math.dist(points[0], points[2])
             reference = 8.0 * sx * sy * sz + _d3_float(sx, sy, sz)
             deviation = abs(at - reference) / max(abs(reference), _TINY)
-            tri_dev = max(tri_dev, deviation)
-            if deviation > tol:
+            if _new_high(deviation, tri_dev):
+                tri_dev = deviation
+            if not deviation <= tol:
                 identity_violations += 1
         elif n == 4:
             u = distance_vector(*points)
             scale = max(magnitude, _TINY)
             sample_re = abs(at.real - d4f(u)) / scale
             sample_im = abs(at.imag**2 - w4f(u) ** 2 * z4f(u)) / scale**2
-            re_dev = max(re_dev, sample_re)
-            im_dev = max(im_dev, sample_im)
-            if sample_re > tol or sample_im > tol:
+            if _new_high(sample_re, re_dev):
+                re_dev = sample_re
+            if _new_high(sample_im, im_dev):
+                im_dev = sample_im
+            if not (sample_re <= tol and sample_im <= tol):
                 identity_violations += 1
+            # Every face factor 8pqr + d3 is positive for distinct points,
+            # so a product that is not is a fault, scored as a NaN margin.
             face = _face_product(u)
-            face_margin = magnitude**2 / face if face > 0 else math.inf
-            if face_margin < min_face:
+            face_margin = magnitude**2 / face if face > 0 else math.nan
+            if _new_low(face_margin, min_face):
                 min_face = face_margin
-            if face_margin < 1.0 - margin_slack:
+            if not _margin_holds(face_margin, margin_slack):
                 margin_violations += 1
 
     return SampleStats(

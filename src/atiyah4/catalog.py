@@ -280,14 +280,18 @@ def t_combination(terms: Iterable[tuple[Sequence[int], Coeff]]) -> Poly:
         groups: dict[tuple[int, ...], list[tuple[MultiIndex, Coeff]]] = {}
         for row in rows:
             groups.setdefault(row[0][3 * face : 3 * face + 3], []).append(row)
-        total = polyring.zero()
-        for exponents, group in groups.items():
-            if face == 3:  # the last face: the group's rows share one alpha
-                term = block(face, exponents).scale(sum(lam for _, lam in group))
-            else:
-                term = block(face, exponents) * horner(group, face + 1)
-            total = total + term
-        return total
+        if face == 3:  # the last face: each group's rows share one alpha
+            return sum(
+                (
+                    block(face, exponents).scale(sum(lam for _, lam in group))
+                    for exponents, group in groups.items()
+                ),
+                polyring.zero(),
+            )
+        return polyring.sum_of_products(
+            (block(face, exponents), horner(group, face + 1))
+            for exponents, group in groups.items()
+        )
 
     return horner([(check_multi_index(alpha), lam) for alpha, lam in terms], 0)
 

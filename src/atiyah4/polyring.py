@@ -21,7 +21,7 @@ be treated as read-only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Coeff = Union[int, Fraction]
 Mono = tuple[int, int, int, int, int, int]
@@ -171,12 +171,14 @@ class Poly:
             result[mono] = product
         return Poly._raw(result)
 
-    def _mul_poly(self, other: "Poly") -> "Poly":
+    def _mul_poly(self, other: "Poly", into: dict[Mono, Coeff] | None = None) -> "Poly | None":
         # Iterate the smaller factor on the outside: fewer dict rebuilds.
+        # With ``into`` the product is added to that dict in place, left
+        # unnormalized, and nothing is returned (see ``sum_of_products``).
         left, right = self.terms, other.terms
         if len(left) > len(right):
             left, right = right, left
-        result: dict[Mono, Coeff] = {}
+        result: dict[Mono, Coeff] = {} if into is None else into
         get = result.get
         for m1, c1 in left.items():
             e1 = m1
@@ -194,10 +196,9 @@ class Poly:
                     result[mono] = total
                 elif mono in result:
                     del result[mono]
-        for mono, coeff in result.items():
-            if type(coeff) is Fraction and coeff.denominator == 1:
-                result[mono] = coeff.numerator
-        return Poly._raw(result)
+        if into is not None:
+            return None
+        return Poly._raw(_normalized(result))
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -229,7 +230,11 @@ class Poly:
         return normalize_coeff(total)
 
     def evaluate_float(self, values: Iterable[float]) -> float:
-        """Floating-point evaluation, order ``a b c x y z``."""
+        """Floating-point evaluation, order ``a b c x y z``.
+
+        The term-by-term reference for :func:`float_evaluator`, which is
+        the fast path for evaluating one polynomial many times.
+        """
         point = tuple(float(v) for v in values)
         if len(point) != N_VARS:
             raise ValueError(f"expected {N_VARS} values, got {len(point)}")
@@ -275,6 +280,29 @@ def zero() -> Poly:
     return Poly._raw({})
 
 
+def sum_of_products(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """Sum of p * q over the pairs, multiplied into one dict the call owns.
+
+    Writing ``total = total + p * q`` keeps the running sum, the product
+    and the copy made by the add alive at once; here each product is
+    added in place as it is formed.  The pairs are drawn one at a time,
+    so a factor built lazily by a generator is dropped after its product.
+    """
+    result: dict[Mono, Coeff] = {}
+    for p, q in pairs:
+        p._mul_poly(q, result)
+        del p, q  # let q go before the next pair is built
+    return Poly._raw(_normalized(result))
+
+
+def _normalized(terms: dict[Mono, Coeff]) -> dict[Mono, Coeff]:
+    """Collapse integral Fractions to ints in place; return the dict."""
+    for mono, coeff in terms.items():
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            terms[mono] = coeff.numerator
+    return terms
+
+
 def constant(value: Coeff) -> Poly:
     value = normalize_coeff(value)
     if not value:
@@ -307,6 +335,60 @@ def from_terms(terms: Mapping[Mono, Coeff]) -> Poly:
 
 def monomial(mono: Mono, coeff: Coeff = 1) -> Poly:
     return Poly({tuple(mono): coeff})
+
+
+# -- float evaluation --------------------------------------------------------
+
+
+def float_evaluator(poly: Poly) -> Callable[[Iterable[float]], float]:
+    """Compile ``poly`` into a fast float function of a point ``a b c x y z``.
+
+    The terms are nested as a multivariate Horner scheme on a, then b, c,
+    x, y, z: P = a^e0 (P_0 + a^d1 (P_1 + a^d2 (P_2 + ...))) with the P_k
+    in the remaining variables, which costs about one multiply-add per
+    term instead of one power per exponent.  Each power a^d the scheme
+    needs is a local computed once per call.  Coefficients are written as
+    ``repr(float(c))``, which reads back as the same double; a factor 1.0
+    is left out, which is exact.  The source text is built only from
+    variable names, ints and float reprs, and is compiled once.
+    """
+    powers: set[tuple[str, int]] = set()
+    body = _horner_text(list(poly.terms.items()), 0, powers) if poly.terms else "0.0"
+    lines = ["def evaluate(u):", f"    {', '.join(VAR_NAMES)} = map(float, u)"]
+    for name, exponent in sorted(powers):
+        lines.append(f"    {name}{exponent} = {'*'.join([name] * exponent)}")
+    lines.append(f"    return {body}")
+    namespace: dict = {"__builtins__": {}, "map": map, "float": float}
+    exec(compile("\n".join(lines), "<float_evaluator>", "exec"), namespace)
+    return namespace["evaluate"]
+
+
+def _horner_text(
+    terms: list[tuple[Mono, Coeff]], level: int, powers: set[tuple[str, int]]
+) -> str:
+    if level == N_VARS:  # one term left: its monomial is used up
+        return repr(float(terms[0][1]))
+    groups: dict[int, list[tuple[Mono, Coeff]]] = {}
+    for term in terms:
+        groups.setdefault(term[0][level], []).append(term)
+    exponents = sorted(groups)
+    name = VAR_NAMES[level]
+
+    def times_power(exponent: int, text: str) -> str:
+        if exponent > 1:
+            powers.add((name, exponent))
+            factor = f"{name}{exponent}"
+        else:
+            factor = name
+        return factor if text == "1.0" else f"{factor}*({text})"
+
+    text = _horner_text(groups[exponents[-1]], level + 1, powers)
+    for low, high in zip(exponents[-2::-1], exponents[:0:-1]):
+        inner = _horner_text(groups[low], level + 1, powers)
+        text = f"{inner} + {times_power(high - low, text)}"
+    if exponents[0]:
+        text = times_power(exponents[0], text)
+    return text
 
 
 # -- enumeration -----------------------------------------------------------

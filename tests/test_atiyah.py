@@ -337,3 +337,107 @@ def test_run_samples_worst_case_is_reproducible():
     value = atiyah_det(replay).value
     margin = abs(value) / atiyah._pairwise_product(replay)
     assert math.isclose(margin, stats.min_pair_margin, rel_tol=1e-12)
+
+
+# atiyah_det(sample_config(n, 20 + n, mode)).value as float.hex strings:
+# (Re, Im) plain, then (Re, Im) with _pin_phases(n).  Any change to the
+# determinant path must reproduce these bit for bit.
+PINNED_DETERMINANTS = {
+    (2, 'generic'): ('0x1.d25ee45005080p-2', '0x1.1c6869f6f38c9p-57', '0x1.d25ee45005080p-2', '0x0.0p+0'),
+    (2, 'near-planar'): ('0x1.44d5e5d2ef553p+2', '0x1.0cb51c3431b96p-63', '0x1.44d5e5d2ef552p+2', '0x0.0p+0'),
+    (2, 'near-collinear'): ('0x1.a2bc092463a6fp+1', '-0x1.cf06603fa9a88p-79', '0x1.a2bc092463a6ep+1', '0x0.0p+0'),
+    (2, 'near-coincident'): ('0x1.55b71077c870dp-10', '0x0.0p+0', '0x1.55b71077c870bp-10', '-0x1.0000000000000p-64'),
+    (3, 'generic'): ('0x1.c705a5310c840p+5', '0x1.0000000000000p-48', '0x1.c705a5310c840p+5', '0x1.0000000000000p-47'),
+    (3, 'near-planar'): ('0x1.0d64211c94a16p+4', '0x1.1000000000000p-62', '0x1.0d64211c94a15p+4', '0x1.8000000000000p-49'),
+    (3, 'near-collinear'): ('0x1.6afb8c447f079p-9', '0x1.1000000000000p-75', '0x1.6afb8c447f07ap-9', '0x0.0p+0'),
+    (3, 'near-coincident'): ('0x1.3332d3954a931p-6', '-0x1.9690000000000p-62', '0x1.3332d3954a932p-6', '-0x1.0000000000000p-59'),
+    (4, 'generic'): ('0x1.1f8c59aad6c9ap+10', '-0x1.2cb43d40a6600p+2', '0x1.1f8c59aad6c9ap+10', '-0x1.2cb43d40a6600p+2'),
+    (4, 'near-planar'): ('0x1.66c24b6150469p+3', '0x1.af9a9d9bef835p-17', '0x1.66c24b615046cp+3', '0x1.af9a9d9c80000p-17'),
+    (4, 'near-collinear'): ('0x1.adff5ea944ea7p+2', '0x1.4920e8082e7d3p-22', '0x1.adff5ea944ea6p+2', '0x1.4920e80000000p-22'),
+    (4, 'near-coincident'): ('0x1.024e08dbfdd5fp-3', '0x1.4dde68f654c80p-20', '0x1.024e08dbfdd5fp-3', '0x1.4dde68f668000p-20'),
+    (5, 'generic'): ('0x1.5509119a80ac2p+9', '-0x1.29d9515768a00p-1', '0x1.5509119a80ac0p+9', '-0x1.29d9515768e00p-1'),
+    (5, 'near-planar'): ('0x1.7bd5f062f7a7ap+14', '0x1.71bfb24292000p-5', '0x1.7bd5f062f7a7ap+14', '0x1.71bfb24360000p-5'),
+    (5, 'near-collinear'): ('0x1.a8d2a4d8fd94ap-1', '-0x1.36453872c3cc8p-25', '0x1.a8d2a4d8fd94bp-1', '-0x1.3645387000000p-25'),
+    (5, 'near-coincident'): ('0x1.7595d8d004776p+0', '-0x1.5173a0c115300p-9', '0x1.7595d8d004777p+0', '-0x1.5173a0c115300p-9'),
+    (6, 'generic'): ('0x1.1feea9eb2e9ccp+23', '-0x1.3491654aaa000p+8', '0x1.1feea9eb2e9c9p+23', '-0x1.3491654a98000p+8'),
+    (6, 'near-planar'): ('0x1.8035fc3dfa234p+17', '-0x1.a525389006402p+4', '0x1.8035fc3dfa236p+17', '-0x1.a525389006000p+4'),
+    (6, 'near-collinear'): ('0x1.6f67d0a2b6f21p+1', '0x1.2d451ac48d034p-18', '0x1.6f67d0a2b6f22p+1', '0x1.2d451ac480000p-18'),
+    (6, 'near-coincident'): ('0x1.4186186bf376fp+14', '-0x1.24da14a17c560p+7', '0x1.4186186bf376dp+14', '-0x1.24da14a17c400p+7'),
+}
+
+
+def _pin_phases(n):
+    rng = random.Random(n)
+    return [cmath.rect(1.0, rng.uniform(-3.0, 3.0)) for _ in range(n * (n - 1) // 2)]
+
+
+def test_determinant_values_are_pinned_bitwise():
+    assert len(PINNED_DETERMINANTS) == 5 * len(atiyah.MODES)
+    for (n, mode), expected in PINNED_DETERMINANTS.items():
+        points = sample_config(n, 20 + n, mode)
+        plain = atiyah_det(points).value
+        phased = atiyah_det(points, pair_phases=_pin_phases(n)).value
+        got = (plain.real.hex(), plain.imag.hex(), phased.real.hex(), phased.imag.hex())
+        assert got == expected, (n, mode)
+
+
+def test_nan_evaluator_is_a_violation_not_a_pass(monkeypatch):
+    monkeypatch.setattr(atiyah, "_float_fn", lambda name: lambda u: math.nan)
+    stats = run_samples(4, 50, seed=8)
+    assert not stats.passed()
+    assert stats.identity_violations == 50
+    assert math.isnan(stats.re_deviation)
+    assert math.isnan(stats.im_sq_deviation)
+    assert stats.margin_violations == 0
+
+
+@pytest.mark.parametrize("face", [math.nan, -1.0, 0.0])
+def test_bad_face_product_is_a_violation(monkeypatch, face):
+    monkeypatch.setattr(atiyah, "_face_product", lambda u: face)
+    stats = run_samples(4, 50, seed=8)
+    assert stats.margin_violations == 50
+    assert math.isnan(stats.min_face_margin)
+    assert stats.identity_violations == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_nan_determinant_is_a_violation(monkeypatch, n):
+    def nan_det(points, pair_phases=None):
+        return AtiyahResult(value=complex(math.nan, 0.0), n=len(points), condition_hint=1.0)
+
+    monkeypatch.setattr(atiyah, "atiyah_det", nan_det)
+    stats = run_samples(n, 20, seed=3)
+    assert not stats.passed()
+    assert stats.margin_violations == (40 if n == 4 else 20)  # n = 4: face margin too
+    assert stats.identity_violations == (20 if n <= 4 else 0)
+    # The first NaN is the worst sample, and it is not dropped later.
+    assert math.isnan(stats.min_pair_margin)
+    assert stats.worst_index == 0
+    for worst in (stats.line_deviation, stats.triangle_deviation, stats.re_deviation):
+        assert worst is None or math.isnan(worst)
+
+
+def test_infinite_determinant_is_a_violation(monkeypatch):
+    def inf_det(points, pair_phases=None):
+        return AtiyahResult(value=complex(math.inf, 0.0), n=len(points), condition_hint=1.0)
+
+    monkeypatch.setattr(atiyah, "atiyah_det", inf_det)
+    stats = run_samples(4, 20, seed=3)
+    assert stats.margin_violations == 40  # pair and face margin each time
+    assert stats.identity_violations == 20
+
+
+@pytest.mark.parametrize("mode", ["near-collinear", "near-coincident"])
+def test_degenerate_edge_campaigns_hold(mode):
+    # 2000 configurations within DEGENERACY_OFFSET of a line or of a
+    # coincidence, at the campaign defaults tol 1e-8 and slack 1e-9.
+    stats = run_samples(4, 2000, seed=0, mode=mode)
+    assert (stats.tol, stats.margin_slack) == (1e-8, 1e-9)
+    assert stats.checked == 2000
+    assert stats.degenerate == 0
+    assert stats.identity_violations == 0
+    assert stats.margin_violations == 0
+    assert stats.re_deviation < 1e-9
+    assert stats.im_sq_deviation < 1e-15
+    assert stats.min_pair_margin > 1.0
+    assert stats.min_face_margin > 1.0

@@ -1,6 +1,7 @@
 """Exit codes, report formats, and the verify orchestration."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -251,3 +252,20 @@ def test_ceiling_entry_is_timed(monkeypatch, capsys):
     assert entries["ceiling"]["status"] == "pass"
     assert entries["ceiling"]["elapsed_ms"] >= 300
     assert entries["lp"]["elapsed_ms"] < 300
+
+
+@pytest.mark.parametrize("broken", ["d4", "w4", "z4"])
+def test_verify_factorization_fails_on_a_nan_evaluator(monkeypatch, capsys, broken):
+    from atiyah4 import atiyah
+
+    real = atiyah._float_fn
+    monkeypatch.setattr(
+        atiyah, "_float_fn", lambda name: (lambda u: math.nan) if name == broken else real(name)
+    )
+    assert run_cli("--json", "verify", "factorization") == 1
+    report = json.loads(capsys.readouterr().out)
+    (entry,) = [c for c in report["checks"] if c["name"] == "factorization"]
+    assert entry["status"] == "fail"
+    assert "1000 identity violations" in entry["detail"]
+    if broken != "d4":
+        assert "nan over" in entry["detail"]

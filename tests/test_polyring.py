@@ -1,6 +1,8 @@
 """Ring axioms, evaluation and enumeration."""
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -191,3 +193,81 @@ def test_repr_mentions_terms():
 
 def test_var_names_fixed():
     assert polyring.VAR_NAMES == ("a", "b", "c", "x", "y", "z")
+
+
+# -- compiled float evaluation ---------------------------------------------
+
+
+@st.composite
+def low_degree_monos(draw):
+    """Exponent vectors of total degree 0..12."""
+    room = draw(st.integers(min_value=0, max_value=12))
+    mono = []
+    for _ in range(6):
+        e = draw(st.integers(min_value=0, max_value=room))
+        mono.append(e)
+        room -= e
+    return tuple(mono)
+
+
+@st.composite
+def degree_polys(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    return Poly({draw(low_degree_monos()): draw(coeffs) for _ in range(n)})
+
+
+# Normal floats away from underflow, so the relative bound below applies.
+magnitudes = st.floats(min_value=2.0**-60, max_value=4.0)
+float_points = st.tuples(
+    *[st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda v: -v))] * 6
+)
+
+
+def assert_within_rounding_bound(f, fast, u):
+    """|fast(u) - f(u)| <= 2 (deg + 1) eps sum |c u^m|, both sides exact.
+
+    Returns the envelope sum |c u^m| as a Fraction.
+    """
+    value = fast(u)
+    exact_point = [Fraction(v) for v in u]
+    exact = Fraction(f.evaluate(exact_point))
+    envelope = Poly({m: abs(c) for m, c in f.terms.items()}).evaluate(
+        [abs(v) for v in exact_point]
+    )
+    degree = f.degree() or 0
+    eps = Fraction(sys.float_info.epsilon)
+    assert type(value) is float
+    assert abs(Fraction(value) - exact) <= 2 * (degree + 1) * eps * envelope
+    return envelope
+
+
+@given(degree_polys(), float_points)
+@settings(max_examples=150)
+def test_float_evaluator_tracks_exact(f, u):
+    assert_within_rounding_bound(f, polyring.float_evaluator(f), u)
+
+
+def test_float_evaluator_on_zero_and_constants():
+    u = (1.5, -2.0, 0.25, 3.0, 0.0, 1.0)
+    assert polyring.float_evaluator(zero())(u) == 0.0
+    assert polyring.float_evaluator(constant(Fraction(-7, 3)))(u) == float(Fraction(-7, 3))
+    assert polyring.float_evaluator(constant(5))(u) == 5.0
+    # Exact int or Fraction input is read as floats, like evaluate_float.
+    g = variable("a") * variable("x") ** 2 - constant(Fraction(1, 3))
+    assert polyring.float_evaluator(g)((2, 0, 0, Fraction(1, 2), 0, 0)) == 0.5 - 1 / 3
+
+
+def test_float_evaluator_on_every_named_polynomial(named):
+    rng = random.Random(17)
+    points = [
+        tuple(rng.randint(200, 2000) / 1024 for _ in range(6)),
+        tuple(rng.uniform(0.2, 2.0) for _ in range(6)),
+        (0.0, 1.5, 0.5, 2.0, 0.0, 1.25),
+    ]
+    assert {"d4", "w4", "z4", "M4", "P4", "F4"} <= set(named)
+    for f in named.values():
+        fast = polyring.float_evaluator(f)
+        for u in points:
+            envelope = assert_within_rounding_bound(f, fast, u)
+            # The term-by-term reference agrees to its own rounding.
+            assert abs(fast(u) - f.evaluate_float(u)) <= 1e-12 * float(envelope)

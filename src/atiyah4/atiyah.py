@@ -167,24 +167,17 @@ def _det_complex(matrix: list[list[complex]]) -> complex:
 
 @dataclass(frozen=True)
 class AtiyahResult:
-    """Determinant value plus a cheap degeneracy signal.
-
-    ``condition_hint`` is the smallest lift norm, sqrt(2 * min pairwise
-    distance); values near zero mean the configuration is close to a
-    coincidence and the determinant should not be trusted far.
-    """
+    """Determinant value and the number of points it was taken over."""
 
     value: complex
     n: int
-    condition_hint: float
 
 
 def atiyah_det(
     points: Sequence[Point3], pair_phases: Sequence[complex] | None = None
 ) -> AtiyahResult:
     matrix = atiyah_matrix(points, pair_phases)
-    hint = math.sqrt(2.0 * _min_separation(points))
-    return AtiyahResult(value=_det_complex(matrix), n=len(points), condition_hint=hint)
+    return AtiyahResult(value=_det_complex(matrix), n=len(points))
 
 
 def _min_separation(points: Sequence[Point3]) -> float:

@@ -29,9 +29,8 @@ not floating-point estimates.  A solve takes three steps:
 
 If any step fails (float status not optimal, pivot cap hit, singular
 basis, a failed check), the same tableau code runs over Fraction as an
-exact two-phase simplex on the same rows: largest-reduced-cost
-entering, dropping permanently to Bland's lowest-index rule whenever
-degenerate pivots stall, which preserves the no-cycling guarantee.
+exact two-phase simplex on the same rows, entering by Bland's
+lowest-index rule, which cannot cycle and so always ends in a verdict.
 "infeasible" and "unbounded" only ever come from this exact path.
 """
 
@@ -165,10 +164,6 @@ def _pivot(tableau: list[list[Num]], obj: list[Num], basis: list[int],
     basis[row] = col
 
 
-#: Consecutive non-improving pivots tolerated before the pricing rule drops
-#: from largest-coefficient to Bland's rule for the rest of the solve.
-DEGENERATE_STALL_LIMIT = 30
-
 #: Zero tolerance of the float pass: reduced costs and pivot candidates at
 #: or below it count as zero.  The float pass only proposes a basis, so the
 #: tolerance can cost speed (a rejected basis) but never correctness.
@@ -178,96 +173,59 @@ FLOAT_TOL = 1e-9
 FLOAT_PIVOT_CAP = 5000
 
 
-class _Pricer:
-    """Entering-column rule: largest reduced cost,
-
-    with a permanent switch to Bland's lowest-index rule once a run of
-    degenerate (objective-preserving) pivots exceeds the stall limit.
-    Bland's rule cannot cycle, so the hybrid always terminates while the
-    aggressive rule keeps the typical pivot count low.  Without a stall
-    limit (the float pass) the rule stays largest-coefficient, and the
-    pivot cap bounds the run instead.
-    """
-
-    def __init__(self, stall_limit: int | None) -> None:
-        self.stall_limit = stall_limit
-        self.bland = False
-        self._stall = 0
-
-    def note_pivot(self, improved: bool) -> None:
-        if improved:
-            self._stall = 0
-        elif not self.bland and self.stall_limit is not None:
-            self._stall += 1
-            if self._stall > self.stall_limit:
-                self.bland = True
-
-    def choose(self, obj: list[Num], n_cols: int, tol: Num) -> int:
-        if self.bland:
-            for j in range(n_cols):
-                if obj[j] > tol:
-                    return j
-            return -1
-        best = -1
-        best_value = tol
-        for j in range(n_cols):
-            value = obj[j]
-            if value > best_value:
-                best_value = value
-                best = j
-        return best
-
-
-def _simplex_step(tableau: list[list[Num]], obj: list[Num], basis: list[int],
-                  n_cols: int, pricer: _Pricer, tol: Num) -> str:
-    col = pricer.choose(obj, n_cols, tol)
-    if col < 0:
-        return "optimal"
-    # Leaving: minimum ratio, ties broken by lowest basis variable index.
-    best_ratio = None
-    row = -1
-    for i, tab_row in enumerate(tableau):
-        coeff = tab_row[col]
-        if coeff > tol:
-            ratio = tab_row[-1] / coeff
-            if best_ratio is None or ratio < best_ratio or (
-                ratio == best_ratio and basis[i] < basis[row]
-            ):
-                best_ratio = ratio
-                row = i
-    if row < 0:
-        return "unbounded"
-    before = obj[-1]
-    _pivot(tableau, obj, basis, row, col)
-    pricer.note_pivot(obj[-1] != before)
-    return "pivoted"
-
-
 def _iterate(tableau: list[list[Num]], obj: list[Num], basis: list[int],
-             n_cols: int, tol: Num, stall_limit: int | None,
-             budget: float) -> tuple[str, int]:
-    """Pivot until optimal or unbounded, or until ``budget`` pivots are used."""
-    pricer = _Pricer(stall_limit)
+             n_cols: int, exact: bool, budget: float) -> tuple[str, int]:
+    """Pivot until optimal or unbounded, or until ``budget`` pivots are used.
+
+    The exact pass enters by Bland's rule, the lowest-index column with a
+    positive reduced cost; with the lowest-index tie-break of the ratio
+    test it cannot cycle, so it terminates without a budget.  The float
+    pass enters by the first largest reduced cost above FLOAT_TOL, which
+    takes fewer pivots, and its budget bounds the run instead.
+    """
+    tol = 0 if exact else FLOAT_TOL
     done = 0
     while done < budget:
-        state = _simplex_step(tableau, obj, basis, n_cols, pricer, tol)
-        if state != "pivoted":
-            return state, done
+        if exact:
+            col = next((j for j in range(n_cols) if obj[j] > 0), -1)
+        else:
+            col = max(range(n_cols), key=obj.__getitem__)
+            if obj[col] <= tol:
+                col = -1
+        if col < 0:
+            return "optimal", done
+        # Leaving: minimum ratio, ties broken by lowest basis variable index.
+        best_ratio = None
+        row = -1
+        for i, tab_row in enumerate(tableau):
+            coeff = tab_row[col]
+            if coeff > tol:
+                ratio = tab_row[-1] / coeff
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[row]
+                ):
+                    best_ratio = ratio
+                    row = i
+        if row < 0:
+            return "unbounded", done
+        _pivot(tableau, obj, basis, row, col)
         done += 1
     return "pivot cap", done
 
 
-def _simplex(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], num: type = Fraction,
-             tol: Num = 0, stall_limit: int | None = DEGENERATE_STALL_LIMIT,
-             max_pivots: float = math.inf) -> tuple[str, list[int], list[Num], int]:
+def _simplex(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], exact: bool = True
+             ) -> tuple[str, list[int], list[Num], int]:
     """Two-phase primal simplex: maximize alpha+ - alpha- over rows, x >= 0.
 
-    Runs in the number type ``num`` with zero tolerance ``tol`` (0 for
-    Fraction, which makes every test exact).  Returns ``(status, basis,
-    values, pivots)``: status is "optimal", "infeasible", "unbounded" or
-    "pivot cap"; basis lists the basic columns (0 alpha+, 1 alpha-, 2 + j
+    Exact runs in Fraction with zero tolerance, Bland's rule and no pivot
+    budget; otherwise in float with FLOAT_TOL, largest-coefficient pricing
+    and at most FLOAT_PIVOT_CAP pivots.  Returns ``(status, basis, values,
+    pivots)``: status is "optimal", "infeasible", "unbounded" or "pivot
+    cap"; basis lists the basic columns (0 alpha+, 1 alpha-, 2 + j
     lambda_j); values is the vertex when optimal.
     """
+    num, tol = (Fraction, 0) if exact else (float, FLOAT_TOL)
+    budget = math.inf if exact else FLOAT_PIVOT_CAP
     m = len(rows)
     k = len(rows[0]) - 1  # lambda count
     n = 2 + k  # alpha+ alpha- lambda_1..lambda_k
@@ -288,7 +246,7 @@ def _simplex(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], num: type = Fracti
     obj = [sum((row[j] for row in tableau), zero) for j in range(n + m + 1)]
     for i in range(m):
         obj[n + i] = zero
-    state, pivots = _iterate(tableau, obj, basis, n + m, tol, stall_limit, max_pivots)
+    state, pivots = _iterate(tableau, obj, basis, n + m, exact, budget)
     if state == "pivot cap":
         return state, basis, [], pivots
     if state == "unbounded":  # cannot happen: objective bounded by 0
@@ -319,7 +277,7 @@ def _simplex(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], num: type = Fracti
             if c:
                 total += c * tab_row[j]
         obj[j] = (cost[j] if j < n else zero) - total
-    state, done = _iterate(tableau, obj, basis, n, tol, stall_limit, max_pivots - pivots)
+    state, done = _iterate(tableau, obj, basis, n, exact, budget - pivots)
     pivots += done
     if state != "optimal":
         return state, basis, [], pivots
@@ -333,9 +291,7 @@ def _simplex(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], num: type = Fracti
 def _float_basis(rows: list[tuple[Coeff, ...]], rhs: list[Coeff]
                  ) -> tuple[str, list[int], int]:
     """Candidate optimal basis from the simplex in float: (status, basis, pivots)."""
-    status, basis, _, pivots = _simplex(
-        rows, rhs, float, FLOAT_TOL, stall_limit=None, max_pivots=FLOAT_PIVOT_CAP
-    )
+    status, basis, _, pivots = _simplex(rows, rhs, exact=False)
     return status, basis, pivots
 
 

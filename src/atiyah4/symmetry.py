@@ -106,14 +106,7 @@ def apply_perm(poly: Poly, index: int) -> Poly:
     row = ROWS[index]
     result: dict[Mono, Coeff] = {}
     for mono, coeff in poly.terms.items():
-        out = [0] * N_VARS
-        out[row[0]] = mono[0]
-        out[row[1]] = mono[1]
-        out[row[2]] = mono[2]
-        out[row[3]] = mono[3]
-        out[row[4]] = mono[4]
-        out[row[5]] = mono[5]
-        result[tuple(out)] = coeff
+        result[permute_mono(mono, row)] = coeff
     return Poly._raw(result)
 
 

@@ -84,7 +84,6 @@ def test_two_point_matrix_and_determinant():
     assert isinstance(result, AtiyahResult)
     assert result.n == 2
     assert abs(result.value - 2 * x) <= 1e-12 * 2 * x
-    assert abs(result.condition_hint - math.sqrt(2 * x)) < 1e-12
 
 
 def test_three_point_formula():
@@ -403,7 +402,7 @@ def test_bad_face_product_is_a_violation(monkeypatch, face):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_nan_determinant_is_a_violation(monkeypatch, n):
     def nan_det(points, pair_phases=None):
-        return AtiyahResult(value=complex(math.nan, 0.0), n=len(points), condition_hint=1.0)
+        return AtiyahResult(value=complex(math.nan, 0.0), n=len(points))
 
     monkeypatch.setattr(atiyah, "atiyah_det", nan_det)
     stats = run_samples(n, 20, seed=3)
@@ -419,7 +418,7 @@ def test_nan_determinant_is_a_violation(monkeypatch, n):
 
 def test_infinite_determinant_is_a_violation(monkeypatch):
     def inf_det(points, pair_phases=None):
-        return AtiyahResult(value=complex(math.inf, 0.0), n=len(points), condition_hint=1.0)
+        return AtiyahResult(value=complex(math.inf, 0.0), n=len(points))
 
     monkeypatch.setattr(atiyah, "atiyah_det", inf_det)
     stats = run_samples(4, 20, seed=3)

@@ -103,6 +103,39 @@ def test_bad_float_basis_takes_the_exact_fallback(force, monkeypatch):
     assert solution.float_pivots == 0 and solution.pivots == solution.exact_pivots > 0
 
 
+@st.composite
+def degenerate_programs(draw):
+    """Small programs whose right-hand side is mostly zero, so pivots stall."""
+    m = draw(st.integers(1, 4))
+    width = draw(st.integers(2, 7))
+    entries = st.integers(-3, 3)
+    matrix = draw(st.lists(st.tuples(*[entries] * width), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.sampled_from((0, 0, 0, 0, -2, -1, 1, 3)), min_size=m, max_size=m))
+    return lp.LpProblem(
+        monomials=tuple((r,) * 6 for r in range(m)),
+        column_names=("alpha",) + tuple(f"f{j}" for j in range(1, width)),
+        matrix=tuple(matrix),
+        rhs=tuple(rhs),
+    )
+
+
+@given(degenerate_programs())
+@settings(max_examples=400, deadline=None)
+def test_exact_simplex_ends_in_a_correct_verdict(problem):
+    # Bland's rule alone must terminate, and every "optimal" it reports
+    # must come with a basis whose exact certificate checks.
+    rows, rhs = lp._independent_rows(problem.matrix, problem.rhs)
+    assume(rows)
+    state, basis, values, _ = lp._simplex(rows, rhs)
+    assert state in ("optimal", "infeasible", "unbounded")
+    if state == "optimal":
+        solved = lp._basis_solution(rows, rhs, basis)
+        assert solved is not None
+        x, y = solved
+        assert x == values
+        assert lp._check_certificate(problem, rows, rhs, basis, x, y) == "verified"
+
+
 @pytest.fixture(scope="module")
 def sec3_certificate():
     problem = build_program(sec3_basis())

@@ -13,7 +13,7 @@ the package reasons about:
 * the twelve triangular variables ``t1 .. t12`` (triangle-inequality slack
   in each face), monomials ``t^alpha``, combinations sum(lam t^alpha)
   over a table, their symmetric averages, and the family ``T_ell`` of all
-  averaged order-``ell`` monomials.
+  averaged order-``ell`` monomials, as orbit vectors.
 
 All constructions are cached; treat every returned Poly as immutable.
 """
@@ -25,12 +25,13 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from . import polyring, symmetry
-from .polyring import Coeff, Poly
+from .polyring import Coeff, Poly, normalize_coeff
 from .symmetry import (
     GROUP_ORDER,
     OrbitTable,
+    OrbitVector,
     apply_perm,
-    average_of_totals,
+    orbit,
     orbit_totals,
     sym_average,
 )
@@ -306,26 +307,30 @@ def alpha_orbit_canonical(alpha: Sequence[int]) -> MultiIndex:
     return OrbitTable(t_slot_action()).canonical(check_multi_index(alpha))
 
 
-def enumerate_T(order: int) -> list[tuple[MultiIndex, Poly]]:
+def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
     """All distinct averaged monomials av[t^alpha] with |alpha| = order.
 
-    Returns (alpha, polynomial) pairs where alpha is the orbit-canonical
-    representative, deduplicated so that no two returned polynomials are
-    equal, in a deterministic order.  Two stages: multi-indices in the
-    same orbit of the slot action provably average to the same polynomial,
-    so only one representative per orbit is expanded; the final arbiter is
-    still full polynomial equality.
+    Returns (alpha, orbit vector) pairs where alpha is the orbit-canonical
+    representative, deduplicated so that no two returned averages are
+    equal, in a deterministic order.  The orbit vector maps each
+    orbit-canonical monomial c of degree ``order`` to the coefficient of
+    av[t^alpha] on every member of orbit(c), totals[c] / |orbit(c)|;
+    ``symmetry.spread`` writes it out as a Poly.  Multi-indices in the same
+    orbit of the slot action provably average to the same polynomial, so
+    only one representative per orbit is expanded.
 
     Equality is decided on the integer orbit totals of t^alpha
     (``symmetry.orbit_totals``), at most one per orbit of degree-order
-    monomials, and the average is written out only for the alphas kept.
-    This is exact: the average's coefficient on a monomial of orbit(c) is
-    totals[c] / |orbit(c)|, so two alphas have equal averages exactly
+    monomials.  This is exact: two alphas have equal averages exactly
     when they have equal totals.
 
     The compositions arrive in descending lex order, so the first member
     of each orbit to arrive is its canonical form: keeping exactly the
-    canonical alphas keeps the first-arrival order.
+    canonical alphas keeps the first-arrival order.  Consecutive canonical
+    alphas share leading slots, so t^alpha is expanded through a prefix
+    stack: ``prefix[k]`` is the product of t_j^alpha_j over the slots
+    j < k of the last alpha expanded, and only the slots from the first
+    one where the new alpha differs are multiplied out again.
     """
     if not isinstance(order, int) or order < 0:
         raise ValueError("order must be a non-negative int")
@@ -335,13 +340,30 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, Poly]]:
             f"the guard is {MAX_ENUMERATION_ORDER}"
         )
     orbits = OrbitTable(t_slot_action())
+    basis = triangular_basis()
+    prefix = [polyring.constant(1)] * (N_TRIANGULAR + 1)
+    previous: MultiIndex | None = None
     by_totals: dict[tuple, tuple[MultiIndex, dict]] = {}
     for alpha in polyring.compositions(order, N_TRIANGULAR):
         if orbits.canonical(alpha) != alpha:
             continue
-        totals = orbit_totals(t_alpha_expand(alpha))
+        start = 0
+        if previous is not None:
+            while alpha[start] == previous[start]:
+                start += 1
+        for k in range(start, N_TRIANGULAR):
+            product = prefix[k]
+            for _ in range(alpha[k]):
+                product = product * basis[k]
+            prefix[k + 1] = product
+        previous = alpha
+        totals = orbit_totals(prefix[N_TRIANGULAR])
         by_totals.setdefault(tuple(sorted(totals.items())), (alpha, totals))
-    return [(alpha, average_of_totals(totals)) for alpha, totals in by_totals.values()]
+    return [
+        (alpha, {c: normalize_coeff(Fraction(total, len(orbit(c))))
+                 for c, total in totals.items()})
+        for alpha, totals in by_totals.values()
+    ]
 
 
 def format_alpha(alpha: Sequence[int]) -> str:

@@ -239,10 +239,12 @@ def cmd_lp(args) -> dict:
         extras = []
     elif "" in extras:
         raise UsageError(f"empty name in --extra {args.extra!r}")
+    started = time.perf_counter()
     try:
         basis = lp.standard_basis(extras)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    basis_ms = int((time.perf_counter() - started) * 1000)
 
     started = time.perf_counter()
     problem = lp.build_program(basis)
@@ -254,6 +256,7 @@ def cmd_lp(args) -> dict:
         f"{solution.exact_pivots} exact pivots), certificate {solution.certificate}"
     )
     trace = {
+        "basis_ms": basis_ms,
         "route": solution.route,
         "float_pivots": solution.float_pivots,
         "exact_pivots": solution.exact_pivots,

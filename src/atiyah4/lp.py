@@ -10,10 +10,12 @@ alpha is split into a difference of two nonnegative variables.
 The reported optima (32, 60, 188/3, 64) are exact rational statements,
 not floating-point estimates.  A solve takes three steps:
 
-1. Rows by orbit.  d4, p4 and every column are checked symmetric, so
-   each side of the identity has one coefficient per orbit of the
-   24-element action, and one row per orbit-canonical monomial says all
-   (32 rows at degree 6 instead of 462).  Exact elimination then keeps a
+1. Rows by orbit.  Every side of the identity is symmetric: the T6
+   columns are orbit vectors (``symmetry.OrbitVector``), symmetric by
+   construction, and d4, p4 and every column given as a Poly are checked
+   with ``is_symmetric``.  So each side has one coefficient per orbit of
+   the 24-element action, and one row per orbit-canonical monomial says
+   all (32 rows at degree 6 instead of 462).  Exact elimination then keeps a
    maximal independent set of the rows [row | rhs]; every dropped row is
    an exact combination of the kept ones, right-hand side included, so
    the feasible set does not change.
@@ -39,13 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import catalog
 from .catalog import enumerate_T, format_alpha
 from .linalg import gauss_jordan
-from .polyring import Coeff, Mono, Poly, mono_key
-from .symmetry import is_symmetric, orbit_canonical
+from .polyring import N_VARS, Coeff, Mono, Poly, mono_key
+from .symmetry import OrbitVector, is_symmetric, orbit, orbit_canonical, spread
 
 DEGREE = 6
 
@@ -96,36 +98,65 @@ class BoundReport:
 WITNESS = (9, 8, 1, 1, 7, 8)
 
 
-def build_program(basis: Sequence[tuple[str, Poly]]) -> LpProblem:
+#: An LP column: a Poly, or a symmetric polynomial in orbit form.
+Column = Union[Poly, OrbitVector]
+
+
+def _orbit_form(name: str, column: Column) -> OrbitVector:
+    """The column's coefficient on each orbit-canonical monomial it meets.
+
+    A Poly must be nonzero, homogeneous of degree 6 and symmetric.  An
+    orbit vector is symmetric by construction, so it is only checked to be
+    well formed: nonempty, with nonzero coefficients on orbit-canonical
+    degree-6 monomials.
+    """
+    if isinstance(column, Poly):
+        if column.is_zero() or not column.is_homogeneous(DEGREE):
+            raise ValueError(f"basis column {name!r} is not homogeneous of degree {DEGREE}")
+        if not is_symmetric(column):
+            raise ValueError(f"column {name!r} is not symmetric")
+        return {orbit_canonical(mono): coeff for mono, coeff in column.terms.items()}
+    if not column:
+        raise ValueError(f"orbit vector {name!r} is empty")
+    for mono, coeff in column.items():
+        if len(mono) != N_VARS or min(mono) < 0 or sum(mono) != DEGREE:
+            raise ValueError(
+                f"orbit vector {name!r} has {mono}, not a monomial of degree {DEGREE}"
+            )
+        if orbit_canonical(mono) != mono:
+            raise ValueError(f"orbit vector {name!r} has {mono}, not orbit-canonical")
+        if not coeff:
+            raise ValueError(f"orbit vector {name!r} has a zero coefficient on {mono}")
+    return column
+
+
+def build_program(basis: Sequence[tuple[str, Column]]) -> LpProblem:
     """Assemble the coefficient-matching rows for the given basis columns.
 
-    Every basis polynomial must be symmetric and homogeneous of degree 6;
-    rows cover the orbits meeting d4, p4 or the basis, one row per
-    orbit-canonical monomial, in descending graded-lex order.
+    Every basis column must be symmetric and homogeneous of degree 6 (see
+    :func:`_orbit_form`); rows cover the orbits meeting d4, p4 or the
+    basis, one row per orbit-canonical monomial, in descending graded-lex
+    order.
     """
     names = [name for name, _ in basis]
     if len(set(names)) != len(names):
         raise ValueError("duplicate column names in basis")
-    d4 = catalog.d4()
-    p4 = catalog.p4()
-    for name, poly in basis:
-        if poly.is_zero() or not poly.is_homogeneous(DEGREE):
-            raise ValueError(f"basis column {name!r} is not homogeneous of degree {DEGREE}")
     # Soundness of one row per orbit: each side of d4 = alpha p4 + sum
-    # lambda_j f_j is checked symmetric here, so each side is constant on
-    # every orbit of the action, and so is their difference.  Equality on
-    # an orbit's canonical monomial is therefore equality on every monomial
-    # of the orbit, and the rows below state the full polynomial identity.
-    for name, poly in (("d4", d4), ("p4", p4), *basis):
-        if not is_symmetric(poly):
-            raise ValueError(f"column {name!r} is not symmetric")
-    columns = [p4] + [poly for _, poly in basis]
-    support = {orbit_canonical(mono) for poly in (d4, *columns) for mono in poly.terms}
+    # lambda_j f_j is symmetric (checked or by construction), so each side
+    # is constant on every orbit of the action, and so is their difference.
+    # Equality on an orbit's canonical monomial is therefore equality on
+    # every monomial of the orbit, and the rows below state the full
+    # polynomial identity.
+    d4, *columns = (  # columns[0] is p4, the alpha column
+        _orbit_form(name, column)
+        for name, column in (("d4", catalog.d4()), ("p4", catalog.p4()), *basis)
+    )
+    support = set(d4).union(*columns)
     monomials = tuple(sorted(support, key=mono_key, reverse=True))
     matrix = tuple(
-        tuple(column.terms.get(mono, 0) for column in columns) for mono in monomials
+        tuple(column.get(mono, 0) for column in columns) for mono in monomials
     )
-    rhs = tuple(d4.terms.get(mono, 0) for mono in monomials)
+    rhs = tuple(d4.get(mono, 0) for mono in monomials)
     return LpProblem(
         monomials=monomials,
         column_names=tuple(["alpha"] + names),
@@ -412,35 +443,83 @@ def _reconstructs(problem: LpProblem, alpha: Fraction,
     return True
 
 
-def combination_polynomial(basis: Sequence[tuple[str, Poly]],
+def combination_polynomial(basis: Sequence[tuple[str, Column]],
                            solution: LpSolution) -> Poly:
-    """alpha p4 + sum lambda_j f_j, for an independent equality check."""
+    """alpha p4 + sum lambda_j f_j, for an independent equality check.
+
+    Only the columns with a nonzero multiplier are written out; orbit
+    vectors go through ``symmetry.spread``, not through the program rows,
+    so comparing the result with d4 on every monomial checks the row build.
+    """
     if solution.objective is None:
         raise ValueError("solution has no objective value")
     result = catalog.p4().scale(solution.objective)
-    for name, poly in basis:
+    for name, column in basis:
         lam = solution.multipliers.get(name, Fraction(0))
         if lam:
+            poly = column if isinstance(column, Poly) else spread(column)
             result = result + poly.scale(lam)
     return result
 
 
-def standard_basis(extras: Sequence[str] = ()) -> list[tuple[str, Poly]]:
-    """Named extra columns (z4 | n4 | v4sq) followed by the T6 columns."""
+def standard_basis(extras: Sequence[str] = ()) -> list[tuple[str, Column]]:
+    """Named extra columns (z4 | n4 | v4sq, as Polys) then the T6 orbit vectors."""
     allowed = {"z4": catalog.z4, "n4": catalog.n4, "v4sq": lambda: catalog.v4() ** 2}
-    basis: list[tuple[str, Poly]] = []
+    basis: list[tuple[str, Column]] = []
     for name in extras:
         if name not in allowed:
             raise ValueError(f"unknown extra column {name!r}; choose from z4, n4, v4sq")
         if name in dict(basis):
             raise ValueError(f"extra column {name!r} given twice")
         basis.append((name, allowed[name]()))
-    for alpha, poly in enumerate_T(DEGREE):
-        basis.append((f"av[t^{format_alpha(alpha)}]", poly))
+    for alpha, vector in enumerate_T(DEGREE):
+        basis.append((f"av[t^{format_alpha(alpha)}]", vector))
     return basis
 
 
-def upper_bound_check(basis: Sequence[tuple[str, Poly]]) -> BoundReport:
+def witness_values(columns: Iterable[Column]) -> list[Coeff]:
+    """The exact value of each column at WITNESS.
+
+    A Poly column is evaluated term by term.  An orbit vector is evaluated
+    as sum(coeff_c * W_c), where W_c is the sum of w^m over m in orbit(c).
+    """
+    powers: dict[Mono, int] = {}  # witness monomial -> its value there
+    orbit_powers: dict[Mono, int] = {}  # canonical monomial c -> W_c
+
+    def power(mono: Mono) -> int:
+        value = powers.get(mono)
+        if value is None:
+            value = powers[mono] = math.prod(w ** e for w, e in zip(WITNESS, mono))
+        return value
+
+    def orbit_power(canonical: Mono) -> int:
+        value = orbit_powers.get(canonical)
+        if value is None:
+            value = orbit_powers[canonical] = sum(map(power, orbit(canonical)))
+        return value
+
+    def at_witness(column: Column) -> Coeff:
+        # Exact, but in ints: ints and Fractions both carry numerator and
+        # denominator, so numerator * value is added into one int per
+        # denominator (a column has few; averages divide by orbit sizes) and
+        # one Fraction per denominator is formed at the end, in place of two
+        # Fraction operations per term.
+        if isinstance(column, Poly):
+            items, value_of = column.terms.items(), power
+        else:
+            items, value_of = column.items(), orbit_power
+        by_denominator: dict[int, int] = {}
+        get = by_denominator.get
+        for mono, coeff in items:
+            denominator = coeff.denominator
+            by_denominator[denominator] = get(denominator, 0) + coeff.numerator * value_of(mono)
+        return sum(Fraction(total, denominator)
+                   for denominator, total in by_denominator.items())
+
+    return [at_witness(column) for column in columns]
+
+
+def upper_bound_check(basis: Sequence[tuple[str, Column]]) -> BoundReport:
     """Ceiling for the objective from the witness vector (9, 8, 1, 1, 7, 8).
 
     d4 equals 64 p4 at the witness while p4 is positive there, so any
@@ -448,30 +527,12 @@ def upper_bound_check(basis: Sequence[tuple[str, Poly]]) -> BoundReport:
     forces alpha <= 64.  Columns that go negative at the witness void the
     argument; they are reported rather than raised.
     """
-    powers: dict[Mono, Coeff] = {}  # witness monomial -> its value there
-
-    def at_witness(poly: Poly) -> Coeff:
-        # Exact, but in ints: ints and Fractions both carry numerator and
-        # denominator, so numerator * value is added into one int per
-        # denominator (a column has few; averages divide by orbit sizes) and
-        # one Fraction per denominator is formed at the end, in place of two
-        # Fraction operations per term.
-        by_denominator: dict[int, int] = {}
-        get = by_denominator.get
-        for mono, coeff in poly.terms.items():
-            value = powers.get(mono)
-            if value is None:
-                value = powers[mono] = math.prod(w ** e for w, e in zip(WITNESS, mono))
-            denominator = coeff.denominator
-            by_denominator[denominator] = get(denominator, 0) + coeff.numerator * value
-        return sum(Fraction(total, denominator)
-                   for denominator, total in by_denominator.items())
-
-    d4_value = at_witness(catalog.d4())
-    p4_value = at_witness(catalog.p4())
+    d4_value, p4_value, *values = witness_values(
+        [catalog.d4(), catalog.p4(), *(column for _, column in basis)]
+    )
     if d4_value != 64 * p4_value or p4_value <= 0:
         raise RuntimeError("witness vector lost the d4 = 64 p4 anchor")
-    negative = tuple(name for name, poly in basis if at_witness(poly) < 0)
+    negative = tuple(name for (name, _), value in zip(basis, values) if value < 0)
     if negative:
         return BoundReport(
             applicable=False, bound=None, witness=WITNESS, negative_columns=negative

@@ -166,15 +166,33 @@ def orbit_totals(poly: Poly) -> dict[Mono, Coeff]:
     return {c: normalize_coeff(total) for c, total in totals.items() if total}
 
 
+#: A symmetric polynomial in orbit form: orbit-canonical monomial -> its
+#: coefficient there, which is the coefficient on every member of the orbit.
+OrbitVector = dict[Mono, Coeff]
+
+
+def orbit(mono: Mono) -> tuple[Mono, ...]:
+    """Every monomial in the orbit of ``mono``, ``mono`` included."""
+    members = _MONOMIALS.members.get(mono)  # found at once for a canonical mono
+    if members is None:
+        members = _MONOMIALS.members[orbit_canonical(mono)]
+    return members
+
+
 def _spread(totals: Mapping[Mono, Coeff], weight: Callable[[int], Coeff]) -> Poly:
     """Write weight(|orbit(c)|) * totals[c] to every member of each orbit c."""
     result: dict[Mono, Coeff] = {}
     for canonical, total in totals.items():
-        orbit = _MONOMIALS.members[canonical]
-        value = normalize_coeff(weight(len(orbit)) * total)
-        for mono in orbit:
+        members = orbit(canonical)
+        value = normalize_coeff(weight(len(members)) * total)
+        for mono in members:
             result[mono] = value
     return Poly._raw(result)
+
+
+def spread(vector: Mapping[Mono, Coeff]) -> Poly:
+    """Write out an orbit vector: vector[c] on every member of each orbit c."""
+    return _spread(vector, lambda size: 1)
 
 
 def orbit_sum(poly: Poly) -> Poly:

@@ -3,6 +3,7 @@
 import pytest
 
 from atiyah4 import catalog
+from atiyah4.symmetry import spread
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -23,4 +24,4 @@ def named():
 
 @pytest.fixture(scope="session")
 def t6_columns():
-    return catalog.enumerate_T(6)
+    return [(alpha, spread(vector)) for alpha, vector in catalog.enumerate_T(6)]

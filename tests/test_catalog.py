@@ -15,6 +15,7 @@ from atiyah4.symmetry import (
     is_skew_symmetric,
     is_symmetric,
     permute_tuple,
+    spread,
 )
 
 ONES = (1, 1, 1, 1, 1, 1)
@@ -235,14 +236,14 @@ def test_format_alpha():
 
 
 def test_enumerate_T_small_orders():
-    degree_one = catalog.enumerate_T(1)
+    degree_one = [(alpha, spread(vector)) for alpha, vector in catalog.enumerate_T(1)]
     assert len(degree_one) == 1
     alpha, poly = degree_one[0]
     assert sum(alpha) == 1
     assert is_symmetric(poly)
     assert poly.is_homogeneous(1)
 
-    degree_two = catalog.enumerate_T(2)
+    degree_two = [(alpha, spread(vector)) for alpha, vector in catalog.enumerate_T(2)]
     assert all(sum(alpha) == 2 for alpha, _ in degree_two)
     keys = {poly.canonical_key() for _, poly in degree_two}
     assert len(keys) == len(degree_two)
@@ -277,7 +278,7 @@ def reference_enumerate_T(order):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_enumerate_T_matches_the_reference(order):
-    columns = catalog.enumerate_T(order)
+    columns = [(alpha, spread(vector)) for alpha, vector in catalog.enumerate_T(order)]
     reference = reference_enumerate_T(order)
     assert [alpha for alpha, _ in columns] == [alpha for alpha, _ in reference]
     # repr tells an int coefficient from an integral Fraction

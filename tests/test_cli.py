@@ -254,6 +254,21 @@ def test_ceiling_entry_is_timed(monkeypatch, capsys):
     assert entries["lp"]["elapsed_ms"] < 300
 
 
+def test_basis_build_is_timed_apart_from_the_solve(monkeypatch, capsys):
+    gap = catalog.d4() - 64 * catalog.p4()
+
+    def slow_basis(extras):
+        time.sleep(0.3)
+        return [("gap", gap)]
+
+    monkeypatch.setattr(lp, "standard_basis", slow_basis)
+    assert run_cli("--json", "lp") == 0
+    entries = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert entries["lp"]["status"] == "pass"
+    assert entries["lp"]["basis_ms"] >= 300
+    assert entries["lp"]["elapsed_ms"] < 300
+
+
 @pytest.mark.parametrize("broken", ["d4", "w4", "z4"])
 def test_verify_factorization_fails_on_a_nan_evaluator(monkeypatch, capsys, broken):
     from atiyah4 import atiyah

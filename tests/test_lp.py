@@ -6,6 +6,7 @@ enough to finish in milliseconds: the certified route, the exact fallback,
 the certificate checker and the row reduction.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from atiyah4 import catalog, certify, lp
 from atiyah4.linalg import gauss_jordan
-from atiyah4.polyring import Poly, variable
-from atiyah4.symmetry import orbit_canonical
+from atiyah4.polyring import Poly, compositions, variable
+from atiyah4.symmetry import orbit_canonical, orbit_sum, orbit_totals, spread
 from atiyah4.lp import (
     WITNESS,
     build_program,
@@ -23,6 +24,7 @@ from atiyah4.lp import (
     solve,
     standard_basis,
     upper_bound_check,
+    witness_values,
 )
 
 
@@ -338,3 +340,75 @@ def test_row_reduction_keeps_an_independent_spanning_set():
     full = [list(row) + [b] for row, b in zip(rows, rhs)]
     assert len(gauss_jordan(full)[1]) == len(gauss_jordan(
         [list(row) + [b] for row, b in zip(kept, kept_rhs)])[1])
+
+
+#: sha256 over repr((monomials, column_names, matrix, rhs)) of the three full
+#: programs build_program(standard_basis(extras)), as first computed with
+#: the T6 columns written out as Polys over all 462 degree-6 monomials.
+PROGRAM_DIGESTS = {
+    (): "f9df7650c7009cd5c4740d8baa843d1d24f572dbf04167144296641942d9cb51",
+    ("z4", "n4"): "112621b28b1a8e04e29443280c6bf8ee7b948533a5857216f0aea89a7eaba3fd",
+    ("z4", "n4", "v4sq"): "53270608e9d4dd090f233d066e0b5b4276f10fd85486491b48b1d9765d7b6dbb",
+}
+
+
+@pytest.mark.parametrize("extras", list(PROGRAM_DIGESTS))
+def test_full_programs_are_pinned(extras):
+    # repr tells an int entry from an integral Fraction
+    problem = build_program(standard_basis(extras))
+    text = repr((problem.monomials, problem.column_names, problem.matrix, problem.rhs))
+    assert hashlib.sha256(text.encode()).hexdigest() == PROGRAM_DIGESTS[extras]
+
+
+degree_six_polys = st.dictionaries(
+    st.sampled_from(list(compositions(6, 6))), coefficients, min_size=1, max_size=8
+).map(Poly)
+
+
+def _solution_with(objective, multipliers):
+    return lp.LpSolution(
+        status="optimal", objective=objective, multipliers=multipliers,
+        support=tuple(name for name, v in multipliers.items() if v), pivots=0,
+        reconstruction_ok=True, route="certified", float_pivots=0, exact_pivots=0,
+        certificate="verified",
+    )
+
+
+@given(degree_six_polys, coefficients, coefficients)
+@settings(max_examples=80, deadline=None)
+def test_orbit_form_and_poly_form_agree(f, alpha, lam):
+    s = orbit_sum(f)
+    assume(not s.is_zero())
+    v = {c: s.terms[c] for c in orbit_totals(f)}
+    assert spread(v) == s
+    poly_program, vector_program = build_program([("f", s)]), build_program([("f", v)])
+    assert poly_program == vector_program
+    assert repr(poly_program) == repr(vector_program)
+    assert upper_bound_check([("f", s)]) == upper_bound_check([("f", v)])
+    solution = _solution_with(alpha, {"f": lam})
+    assert combination_polynomial([("f", s)], solution) == combination_polynomial(
+        [("f", v)], solution
+    )
+
+
+def test_t6_witness_values_match_the_written_out_columns():
+    vectors = [vector for _, vector in catalog.enumerate_T(6)]
+    assert witness_values(vectors) == [spread(v).evaluate(WITNESS) for v in vectors]
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        ({}, "'bad' is empty"),
+        ({(0, 0, 0, 0, 0, 6): 1}, r"'bad' has \(0, 0, 0, 0, 0, 6\), not orbit-canonical"),
+        ({(5, 0, 0, 0, 0, 0): 1}, r"'bad' has \(5, 0, 0, 0, 0, 0\), not a monomial of degree 6"),
+    ],
+    ids=["empty", "not canonical", "wrong degree"],
+)
+def test_build_program_rejects_malformed_orbit_vectors(vector, message, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a malformed column reached the simplex")
+
+    monkeypatch.setattr(lp, "_simplex", no_solve)
+    with pytest.raises(ValueError, match=message):
+        solve(build_program([("z4", catalog.z4()), ("bad", vector)]))

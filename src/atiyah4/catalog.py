@@ -25,14 +25,14 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from . import polyring, symmetry
-from .polyring import Coeff, Poly, normalize_coeff
+from .polyring import Coeff, Mono, Poly
 from .symmetry import (
     GROUP_ORDER,
     OrbitTable,
     OrbitVector,
     apply_perm,
     orbit,
-    orbit_totals,
+    orbit_canonical,
     sym_average,
 )
 from .symmetry import orbit_sum  # noqa: F401  (perfbench/spans.py traces it here)
@@ -319,18 +319,27 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
     orbit of the slot action provably average to the same polynomial, so
     only one representative per orbit is expanded.
 
-    Equality is decided on the integer orbit totals of t^alpha
-    (``symmetry.orbit_totals``), at most one per orbit of degree-order
-    monomials.  This is exact: two alphas have equal averages exactly
-    when they have equal totals.
+    The canonical alphas are found by walking ``polyring.compositions``
+    in descending lex order through one ``symmetry.OrbitTable``: the first
+    member of each orbit to arrive is its canonical form, so keeping
+    exactly the alphas the table maps to themselves keeps the
+    first-arrival order.
 
-    The compositions arrive in descending lex order, so the first member
-    of each orbit to arrive is its canonical form: keeping exactly the
-    canonical alphas keeps the first-arrival order.  Consecutive canonical
-    alphas share leading slots, so t^alpha is expanded through a prefix
-    stack: ``prefix[k]`` is the product of t_j^alpha_j over the slots
-    j < k of the last alpha expanded, and only the slots from the first
-    one where the new alpha differs are multiplied out again.
+    Products are taken on packed monomial keys, 3 bits per distance
+    exponent (``_pack``); an exponent is at most MAX_ENUMERATION_ORDER,
+    below 8, so adding two keys multiplies two monomials without a carry.
+    Each t_k is a 3-term linear form of key offsets, and t^alpha is
+    expanded through a prefix stack: ``prefix[k]`` is the product of
+    t_j^alpha_j over the slots j < k of the last alpha expanded, and only
+    the slots from the first one where the new alpha differs are
+    multiplied out again.
+
+    Equality is decided on the integer orbit totals of t^alpha, summed
+    straight from the packed keys through a map from each degree-order
+    key to its packed canonical key, built once per call.  This is
+    exact: two alphas have equal averages exactly when they have equal
+    totals.  A coefficient totals[c] / |orbit(c)| is an int when it
+    divides and a Fraction otherwise, formed once per (total, c).
     """
     if not isinstance(order, int) or order < 0:
         raise ValueError("order must be a non-negative int")
@@ -340,10 +349,19 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
             f"the guard is {MAX_ENUMERATION_ORDER}"
         )
     orbits = OrbitTable(t_slot_action())
-    basis = triangular_basis()
-    prefix = [polyring.constant(1)] * (N_TRIANGULAR + 1)
+    forms = [
+        tuple((_pack(mono), coeff) for mono, coeff in t.terms.items())
+        for t in triangular_basis()
+    ]
+    canonical_of: dict[int, int] = {}  # packed monomial -> packed canonical
+    monomial_of: dict[int, Mono] = {}  # packed canonical -> canonical monomial
+    for mono in polyring.compositions(order, polyring.N_VARS):
+        canonical = orbit_canonical(mono)
+        key = canonical_of[_pack(mono)] = _pack(canonical)
+        monomial_of[key] = canonical
+    prefix: list[dict[int, int]] = [{0: 1}] * (N_TRIANGULAR + 1)
     previous: MultiIndex | None = None
-    by_totals: dict[tuple, tuple[MultiIndex, dict]] = {}
+    by_totals: dict[tuple[tuple[int, int], ...], MultiIndex] = {}
     for alpha in polyring.compositions(order, N_TRIANGULAR):
         if orbits.canonical(alpha) != alpha:
             continue
@@ -354,16 +372,55 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
         for k in range(start, N_TRIANGULAR):
             product = prefix[k]
             for _ in range(alpha[k]):
-                product = product * basis[k]
+                product = _times_form(product, forms[k])
             prefix[k + 1] = product
         previous = alpha
-        totals = orbit_totals(prefix[N_TRIANGULAR])
-        by_totals.setdefault(tuple(sorted(totals.items())), (alpha, totals))
+        totals: dict[int, int] = {}
+        get = totals.get
+        for key, coeff in prefix[N_TRIANGULAR].items():
+            canonical = canonical_of[key]
+            totals[canonical] = get(canonical, 0) + coeff
+        signature = tuple(sorted(item for item in totals.items() if item[1]))
+        by_totals.setdefault(signature, alpha)
+
+    values: dict[tuple[int, int], Coeff] = {}
+
+    def value(total: int, canonical: int) -> Coeff:
+        coeff = values.get((total, canonical))
+        if coeff is None:
+            size = len(orbit(monomial_of[canonical]))
+            coeff = total // size if total % size == 0 else Fraction(total, size)
+            values[total, canonical] = coeff
+        return coeff
+
     return [
-        (alpha, {c: normalize_coeff(Fraction(total, len(orbit(c))))
-                 for c, total in totals.items()})
-        for alpha, totals in by_totals.values()
+        (alpha, {monomial_of[canonical]: value(total, canonical)
+                 for canonical, total in signature})
+        for signature, alpha in by_totals.items()
     ]
+
+
+def _pack(mono: Sequence[int]) -> int:
+    """A distance monomial as an int, 3 bits per exponent (each below 8)."""
+    key = 0
+    for shift, exponent in enumerate(mono):
+        key |= exponent << (3 * shift)
+    return key
+
+
+def _times_form(poly: dict[int, int], form: tuple[tuple[int, int], ...]) -> dict[int, int]:
+    """A packed-key polynomial times a 3-term linear form, in a new dict."""
+    (d1, c1), (d2, c2), (d3, c3) = form
+    result: dict[int, int] = {}
+    get = result.get
+    for key, coeff in poly.items():
+        k = key + d1
+        result[k] = get(k, 0) + c1 * coeff
+        k = key + d2
+        result[k] = get(k, 0) + c2 * coeff
+        k = key + d3
+        result[k] = get(k, 0) + c3 * coeff
+    return result
 
 
 def format_alpha(alpha: Sequence[int]) -> str:

@@ -26,6 +26,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 Coeff = Union[int, Fraction]
 Mono = tuple[int, int, int, int, int, int]
 
+#: The coefficient types a Poly accepts, matched by exact type so that a
+#: bool (an int subclass) is refused along with floats and strings.
+EXACT_TYPES = (int, Fraction)
+
 N_VARS = 6
 VAR_NAMES = ("a", "b", "c", "x", "y", "z")
 _VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
@@ -61,8 +65,12 @@ class Poly:
         normalized: dict[Mono, Coeff] = {}
         if terms:
             for mono, coeff in terms.items():
-                if len(mono) != N_VARS or any(e < 0 for e in mono):
+                if len(mono) != N_VARS or any(type(e) is not int or e < 0 for e in mono):
                     raise ValueError(f"bad exponent vector {mono!r}")
+                if type(coeff) not in EXACT_TYPES:
+                    raise ValueError(
+                        f"term {mono!r} has coefficient {coeff!r}, not an int or Fraction"
+                    )
                 coeff = normalize_coeff(coeff)
                 if coeff:
                     normalized[mono] = coeff
@@ -398,13 +406,25 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` non-negative ints summing to ``total``.
 
     Emitted in lexicographically descending order with the leftmost slot
-    most significant, so the output order is deterministic.
+    most significant, so the output order is deterministic.  Each step
+    moves one unit rightwards: the last slot before the final one that is
+    nonzero gives up one unit, and the slot after it takes that unit plus
+    everything the final slot held.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    if parts == 1:
-        yield (total,)
+    if total < 0:
         return
-    for head in range(total, -1, -1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    current = [total] + [0] * (parts - 1)
+    last = parts - 1
+    while True:
+        yield tuple(current)
+        i = last - 1
+        while i >= 0 and not current[i]:
+            i -= 1
+        if i < 0:
+            return
+        current[i] -= 1
+        rest = current[last] + 1
+        current[last] = 0
+        current[i + 1] = rest

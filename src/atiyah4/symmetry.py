@@ -23,6 +23,7 @@ coefficients on the orbit-canonical monomials (Gatermann & Parrilo,
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .polyring import Coeff, Mono, N_VARS, Poly, normalize_coeff
@@ -120,10 +121,11 @@ class OrbitTable:
     orbit costs one image per row once and each later lookup one dict get.
     """
 
-    __slots__ = ("rows", "canonical_of", "members")
+    __slots__ = ("rows", "images", "canonical_of", "members")
 
     def __init__(self, rows: Sequence[tuple[int, ...]]) -> None:
         self.rows = rows
+        self.images: list[Callable[[tuple[int, ...]], tuple[int, ...]]] = []
         self.canonical_of: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.members: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
@@ -131,7 +133,16 @@ class OrbitTable:
         """The canonical form of the orbit of ``point``."""
         canonical = self.canonical_of.get(point)
         if canonical is None:
-            images = {permute_mono(point, row) for row in self.rows}
+            if not self.images:
+                # permute_mono moves slot k to slot row[k], so slot t of an
+                # image reads slot inverse[t]: one itemgetter per row fetches
+                # a whole image in one call (rows move at least two slots,
+                # so each getter returns a tuple).
+                self.images = [
+                    itemgetter(*sorted(range(len(row)), key=row.__getitem__))
+                    for row in self.rows
+                ]
+            images = {image(point) for image in self.images}
             canonical = max(images)
             self.members[canonical] = tuple(images)
             for image in images:

@@ -6,6 +6,7 @@ enough to finish in milliseconds: the certified route, the exact fallback,
 the certificate checker and the row reduction.
 """
 
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -136,6 +137,21 @@ def test_exact_simplex_ends_in_a_correct_verdict(problem):
         x, y = solved
         assert x == values
         assert lp._check_certificate(problem, rows, rhs, basis, x, y) == "verified"
+
+
+@given(degenerate_programs())
+@settings(max_examples=300, deadline=None)
+def test_solve_agrees_with_the_exact_simplex(problem):
+    # Whatever route solve takes, its verdict is the exact simplex's, and a
+    # certified result carries a verified certificate.
+    rows, rhs = lp._independent_rows(problem.matrix, problem.rhs)
+    assume(rows)
+    state, _, values, _ = lp._simplex(rows, rhs)
+    solution = solve(problem)
+    assert solution.status == state
+    assert solution.objective == (values[0] - values[1] if state == "optimal" else None)
+    if solution.route == "certified":
+        assert solution.certificate == "verified" and solution.exact_pivots == 0
 
 
 @pytest.fixture(scope="module")
@@ -352,12 +368,27 @@ PROGRAM_DIGESTS = {
 }
 
 
+@functools.cache
+def full_program(extras):
+    return build_program(standard_basis(extras))
+
+
 @pytest.mark.parametrize("extras", list(PROGRAM_DIGESTS))
 def test_full_programs_are_pinned(extras):
     # repr tells an int entry from an integral Fraction
-    problem = build_program(standard_basis(extras))
+    problem = full_program(extras)
     text = repr((problem.monomials, problem.column_names, problem.matrix, problem.rhs))
     assert hashlib.sha256(text.encode()).hexdigest() == PROGRAM_DIGESTS[extras]
+
+
+@pytest.mark.parametrize("extras", list(PROGRAM_DIGESTS))
+def test_full_programs_certify_within_few_float_pivots(extras):
+    # Steepest-edge pricing takes 77-116 float pivots on these programs;
+    # the largest-coefficient rule took 396, 793 and 1153.
+    solution = solve(full_program(extras))
+    assert solution.route == "certified" and solution.certificate == "verified"
+    assert solution.objective == {0: 32, 2: 60, 3: Fraction(188, 3)}[len(extras)]
+    assert solution.float_pivots <= 200
 
 
 degree_six_polys = st.dictionaries(
@@ -412,3 +443,14 @@ def test_build_program_rejects_malformed_orbit_vectors(vector, message, monkeypa
     monkeypatch.setattr(lp, "_simplex", no_solve)
     with pytest.raises(ValueError, match=message):
         solve(build_program([("z4", catalog.z4()), ("bad", vector)]))
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
+def test_build_program_refuses_inexact_coefficients(bad):
+    canonical = next(iter(orbit_totals(catalog.p4())))
+    with pytest.raises(ValueError, match=r"column 'bad' has coefficient .* not an int or Fraction"):
+        build_program([("z4", catalog.z4()), ("bad", {canonical: bad})])
+    # A Poly that bypassed the constructor's check, as Poly._raw allows
+    sneaked = Poly._raw(dict.fromkeys(catalog.p4().terms, bad))
+    with pytest.raises(ValueError, match=r"column 'sneaked' has coefficient .* not an int or Fraction"):
+        build_program([("sneaked", sneaked)])

@@ -1,5 +1,6 @@
 """Ring axioms, evaluation and enumeration."""
 
+import itertools
 import math
 import random
 import sys
@@ -180,6 +181,37 @@ def test_compositions_count_and_order():
     assert combos == sorted(combos, reverse=True)
     assert all(sum(c) == 6 and len(c) == 12 for c in combos)
     assert len(set(combos)) == len(combos)
+
+
+@pytest.mark.parametrize("parts", range(1, 6))
+@pytest.mark.parametrize("total", range(-1, 7))
+def test_compositions_match_a_filtered_product(total, parts):
+    reference = sorted(
+        (c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total),
+        reverse=True,
+    )
+    assert list(compositions(total, parts)) == reference
+
+
+@pytest.mark.parametrize("parts", [0, -1])
+def test_compositions_need_a_part(parts):
+    with pytest.raises(ValueError, match="parts must be >= 1"):
+        list(compositions(3, parts))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, "1"], ids=["float", "whole float", "bool", "str"])
+def test_poly_refuses_inexact_coefficients(bad):
+    mono = (1, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"term \(1, 0, 0, 0, 0, 0\) has coefficient"):
+        Poly({mono: bad})
+    with pytest.raises(ValueError, match="not an int or Fraction"):
+        monomial(mono, bad)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1", -1], ids=["float", "bool", "str", "negative"])
+def test_poly_refuses_bad_exponents(bad):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        Poly({(bad, 0, 0, 0, 0, 0): 1})
 
 
 def test_evaluate_requires_six_values():

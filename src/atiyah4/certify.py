@@ -7,15 +7,15 @@ half (which target, which fixed cocktail of named polynomials, which
 scale) is owned by the matching ``check_*`` function, so a certificate
 cannot redefine what it is supposed to prove.
 
-The checks expand everything exactly and subtract; they pass only when
-the residual is the zero polynomial.  To keep the hot path in integer
-arithmetic, each check works with 24 times the identity (clearing the
-1/24 of the symmetric average) and rescales the residual at the end.
+Each certificate check proves ``fixed side = av(table side)``, av being
+the average over the 24 relabellings, by orbit totals: a symmetric T
+equals av(P) exactly when ``orbit_totals(T) == orbit_totals(P)``
+(Gatermann & Parrilo, 2004), and the residual T - av(P) is the average
+of the differences.  A check passes only when there are none.
 
 A coefficient table is expanded as one polynomial, sum(coeff * t^alpha),
 by ``catalog.t_combination``: a Horner scheme over the four faces that
-multiplies each shared face block once rather than once per row, and
-then goes through a single orbit sum.
+multiplies each shared face block once rather than once per row.
 """
 
 from __future__ import annotations
@@ -23,14 +23,15 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import catalog, polyring
 from .catalog import MultiIndex
 from .catalog import t_alpha_expand  # noqa: F401  (perfbench/spans.py traces it here)
 from .polyring import Coeff, Mono, Poly, mono_key
-from .symmetry import orbit_sum
+from .symmetry import average_of_totals, is_symmetric, orbit_totals
+from .symmetry import orbit_sum  # noqa: F401  (perfbench/spans.py traces it here)
 
 WORST_MONOMIALS_SHOWN = 10
 
@@ -261,18 +262,35 @@ def _require_orders(
             )
 
 
-def combination_orbit_sum(terms: tuple[tuple[MultiIndex, int], ...]) -> Poly:
-    """Integer polynomial sum of coeff * (24 av[t^alpha]) over the table.
+def _require_symmetric(label: str, poly: Poly) -> None:
+    # Only a symmetric side is determined by its orbit totals: without this
+    # an asymmetric part whose average is zero would pass unseen.
+    if not is_symmetric(poly):
+        raise ValueError(f"{label} is not symmetric")
 
-    The orbit sum is linear, so the table is summed as coeff * t^alpha
-    first and goes through one orbit sum instead of one per row.
-    """
+
+# Not used by the checks; perfbench/spans.py traces it here.
+def combination_orbit_sum(terms: tuple[tuple[MultiIndex, int], ...]) -> Poly:
+    """Integer polynomial sum of coeff * (24 av[t^alpha]) over the table."""
     return orbit_sum(catalog.t_combination(terms))
 
 
-def _report(identity: str, scaled_residual: Poly, started: float) -> ResidualReport:
-    # scaled_residual carries 24 times the true residual; rescale on exit.
-    residual = scaled_residual.scale(Fraction(1, 24))
+def _residual(identity: str, fixed: Poly, *table_sides: Callable[[], Poly]) -> Poly:
+    """fixed - av(sum of the table sides), by orbit totals.
+
+    Each side is dropped once its totals are taken, and a table side is
+    built by its callable only then, so no two sides are alive at once.
+    """
+    _require_symmetric(f"{identity} fixed side", fixed)
+    totals = orbit_totals(fixed)
+    del fixed  # the caller passes it as an expression: this frees it
+    for side in table_sides:
+        for canonical, total in orbit_totals(side()).items():
+            totals[canonical] = totals.get(canonical, 0) - total
+    return average_of_totals({c: total for c, total in totals.items() if total})
+
+
+def _report(identity: str, residual: Poly, started: float) -> ResidualReport:
     worst = sorted(
         residual.terms.items(),
         key=lambda item: (abs(item[1]), mono_key(item[0])),
@@ -294,18 +312,16 @@ def check_sec3(cert: Certificate) -> ResidualReport:
     if cert.scale != 3:
         raise ValueError(f"sec3 certificate must have scale 3, got {cert.scale}")
     _require_orders(cert.terms, 6, "sec3")
-    fixed = (
-        188 * catalog.p4()
-        + 10 * catalog.z4()
-        + 4 * catalog.n4()
-        + 2 * catalog.v4() ** 2
+    residual = _residual(
+        "sec3",
+        3 * catalog.d4()
+        - 188 * catalog.p4()
+        - 10 * catalog.z4()
+        - 4 * catalog.n4()
+        - 2 * catalog.v4() ** 2,
+        lambda: catalog.t_combination(cert.terms),
     )
-    scaled = (
-        (3 * 24) * catalog.d4()
-        - 24 * fixed
-        - combination_orbit_sum(cert.terms)
-    )
-    return _report("sec3-188/3", scaled, started)
+    return _report("sec3-188/3", residual, started)
 
 
 def check_eq42(cert: Certificate) -> ResidualReport:
@@ -315,14 +331,20 @@ def check_eq42(cert: Certificate) -> ResidualReport:
     if cert.scale != 64:
         raise ValueError(f"eq42 certificate must have scale 64, got {cert.scale}")
     _require_orders(cert.terms, 12, "eq42")
-    scaled = (64 * 24) * (catalog.p4() * catalog.m4()) - combination_orbit_sum(
-        cert.terms
+    residual = _residual(
+        "eq42",
+        64 * (catalog.p4() * catalog.m4()),
+        lambda: catalog.t_combination(cert.terms),
     )
-    return _report("eq42", scaled, started)
+    return _report("eq42", residual, started)
 
 
 def check_eq53(cert: Certificate) -> ResidualReport:
-    """Degree-12 identity: 128 M4 = (4 z4 + v4^2) sum_mu + sum_nu."""
+    """Degree-12 identity: 128 M4 = (4 z4 + v4^2) sum_mu + sum_nu.
+
+    The multiplier is symmetric, so av(multiplier * P) = multiplier *
+    av(P): it multiplies the mu table before the average, not after.
+    """
     started = time.perf_counter()
     _require_id(cert, "eq53")
     if cert.scale != 128:
@@ -332,12 +354,14 @@ def check_eq53(cert: Certificate) -> ResidualReport:
     _require_orders(cert.multiplier_terms, 6, "eq53 multiplier")
     _require_orders(cert.terms, 12, "eq53")
     multiplier = 4 * catalog.z4() + catalog.v4() ** 2
-    scaled = (
-        (128 * 24) * catalog.big_m4()
-        - multiplier * combination_orbit_sum(cert.multiplier_terms)
-        - combination_orbit_sum(cert.terms)
+    _require_symmetric("eq53 multiplier 4 z4 + v4^2", multiplier)
+    residual = _residual(
+        "eq53",
+        128 * catalog.big_m4(),
+        lambda: multiplier * catalog.t_combination(cert.multiplier_terms),
+        lambda: catalog.t_combination(cert.terms),
     )
-    return _report("eq53", scaled, started)
+    return _report("eq53", residual, started)
 
 
 def check_eq52() -> ResidualReport:
@@ -356,7 +380,7 @@ def check_eq52() -> ResidualReport:
         * (d4 + 32 * catalog.p4() + catalog.m4())
         - catalog.big_m4()
     )
-    return _report("eq52", residual.scale(24), started)
+    return _report("eq52", residual, started)
 
 
 CHECKS_WITH_CERTIFICATES = {

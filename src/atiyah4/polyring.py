@@ -36,6 +36,12 @@ _VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
 _ZERO_MONO: Mono = (0, 0, 0, 0, 0, 0)
 
 
+def _require_exact(value: object, what: str) -> None:
+    """Refuse a coefficient whose type is not exactly int or Fraction."""
+    if type(value) not in EXACT_TYPES:
+        raise ValueError(f"{what} {value!r}, not an int or Fraction")
+
+
 def normalize_coeff(value: Coeff) -> Coeff:
     """Collapse a Fraction with denominator 1 to a plain int."""
     if type(value) is Fraction:
@@ -54,9 +60,10 @@ class Poly:
     """An element of Q[a, b, c, x, y, z], stored sparsely.
 
     Supports ``+``, ``-``, ``*`` (by polynomial or scalar) and ``**`` with a
-    non-negative int exponent.  Construct via :func:`variable`,
-    :func:`constant` or :func:`from_terms` rather than calling the
-    constructor with a raw dict.
+    non-negative int exponent.  The constructor takes a mapping from
+    exponent vectors to coefficients and refuses bad exponents and any
+    coefficient that is not exactly an int or a Fraction; :func:`variable`,
+    :func:`constant` and :func:`monomial` build the common cases.
     """
 
     __slots__ = ("terms", "_key")
@@ -67,10 +74,7 @@ class Poly:
             for mono, coeff in terms.items():
                 if len(mono) != N_VARS or any(type(e) is not int or e < 0 for e in mono):
                     raise ValueError(f"bad exponent vector {mono!r}")
-                if type(coeff) not in EXACT_TYPES:
-                    raise ValueError(
-                        f"term {mono!r} has coefficient {coeff!r}, not an int or Fraction"
-                    )
+                _require_exact(coeff, f"term {mono!r} has coefficient")
                 coeff = normalize_coeff(coeff)
                 if coeff:
                     normalized[mono] = coeff
@@ -167,6 +171,7 @@ class Poly:
     def scale(self, scalar: Coeff) -> "Poly":
         # Symmetric polynomials repeat few coefficient values over many
         # monomials, so each distinct product is computed once.
+        _require_exact(scalar, "scale takes")
         scalar = normalize_coeff(scalar)
         if not scalar:
             return Poly._raw({})
@@ -312,6 +317,7 @@ def _normalized(terms: dict[Mono, Coeff]) -> dict[Mono, Coeff]:
 
 
 def constant(value: Coeff) -> Poly:
+    _require_exact(value, "constant takes")
     value = normalize_coeff(value)
     if not value:
         return Poly._raw({})
@@ -335,10 +341,6 @@ def variable(name_or_index: str | int) -> Poly:
 def variables() -> tuple[Poly, ...]:
     """The six variable polynomials in order (a, b, c, x, y, z)."""
     return tuple(variable(i) for i in range(N_VARS))
-
-
-def from_terms(terms: Mapping[Mono, Coeff]) -> Poly:
-    return Poly(terms)
 
 
 def monomial(mono: Mono, coeff: Coeff = 1) -> Poly:

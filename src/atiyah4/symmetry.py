@@ -167,7 +167,9 @@ def orbit_totals(poly: Poly) -> dict[Mono, Coeff]:
     orbits whose total is zero are left out.  Every orbit sum and every
     symmetric average of ``poly`` is a function of these totals alone
     (Gatermann & Parrilo, 2004): see :func:`orbit_sum` and
-    :func:`average_of_totals`.
+    :func:`average_of_totals`.  So a symmetric T equals the average of P
+    exactly when the two have equal totals, which is how ``certify``
+    checks its identities without writing an average out.
     """
     totals: dict[Mono, Coeff] = {}
     get = totals.get
@@ -218,10 +220,6 @@ def orbit_sum(poly: Poly) -> Poly:
     monomial of the orbit onto n exactly |Stab(c)| times.  So each input
     term costs one table lookup and one add, and each orbit one write per
     member.
-
-    Kept separate from :func:`sym_average` because the certificate checks
-    accumulate these sums with integer coefficients and divide once at the
-    very end.
     """
     return _spread(orbit_totals(poly), lambda size: GROUP_ORDER // size)
 

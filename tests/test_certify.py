@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atiyah4 import catalog, certify
+from atiyah4 import catalog, certify, polyring
 from atiyah4.certify import (
     Certificate,
     bundled_certificate_dir,
@@ -315,3 +315,23 @@ def test_eq53_bumped_multiplier_leaves_minus_multiplier_times_average():
     assert not report.passed
     multiplier = 4 * catalog.z4() + catalog.v4() ** 2
     assert report.residual == -(multiplier * catalog.av_t_alpha(mu))
+
+
+@pytest.mark.parametrize(
+    "check, name, message",
+    [
+        ("sec3", "n4", "sec3 fixed side is not symmetric"),
+        ("eq42", "m4", "eq42 fixed side is not symmetric"),
+        ("eq53", "z4", r"eq53 multiplier 4 z4 \+ v4\^2 is not symmetric"),
+    ],
+    ids=["sec3", "eq42", "eq53"],
+)
+def test_asymmetric_fixed_side_is_refused(check, name, message, monkeypatch):
+    # av(a^6 - b^6) = 0 and av(p4 (a^6 - b^6)) = 0, so the residual alone
+    # cannot see this skew; the symmetry guard must.
+    catalog.named_polynomials()  # fill the caches before a name is replaced
+    a, b = polyring.variable("a"), polyring.variable("b")
+    skewed = getattr(catalog, name)() + a**6 - b**6
+    monkeypatch.setattr(catalog, name, lambda: skewed)
+    with pytest.raises(ValueError, match=message):
+        run_certificate_check(check)

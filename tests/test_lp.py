@@ -391,6 +391,31 @@ def test_full_programs_certify_within_few_float_pivots(extras):
     assert solution.float_pivots <= 200
 
 
+def test_188_3_vertex_passes_as_a_sec3_certificate():
+    # The vertex depends on pricing, so its T6 multipliers are not pinned;
+    # the extras are, because check_sec3 fixes them.
+    solution = solve(full_program(("z4", "n4", "v4sq")))
+    lam = solution.multipliers
+    assert solution.objective == Fraction(188, 3)
+    assert (lam["z4"], lam["n4"], lam["v4sq"]) == (Fraction(10, 3), Fraction(4, 3), Fraction(2, 3))
+    alphas = {f"av[t^{catalog.format_alpha(alpha)}]": alpha for alpha, _ in catalog.enumerate_T(6)}
+    terms = []
+    for name, value in lam.items():
+        if name in alphas and value:
+            coeff = Fraction(3 * value)
+            assert coeff.denominator == 1, (name, value)
+            terms.append((alphas[name], int(coeff)))
+    cert = certify.Certificate(
+        cert_id="sec3-188/3",
+        scale=3,
+        slot_mapping="(t1 t2 t3)(t4 t5 t6)(t7 t8 t9)(t10 t11 t12)",
+        source="the optimal vertex of the z4,n4,v4sq program",
+        terms=tuple(terms),
+    )
+    report = certify.check_sec3(cert)
+    assert report.passed, report.summary()
+
+
 degree_six_polys = st.dictionaries(
     st.sampled_from(list(compositions(6, 6))), coefficients, min_size=1, max_size=8
 ).map(Poly)

@@ -15,7 +15,6 @@ from atiyah4.polyring import (
     Poly,
     compositions,
     constant,
-    from_terms,
     mono_key,
     monomial,
     variable,
@@ -171,7 +170,7 @@ def test_variable_accepts_name_and_index():
 
 def test_monomial_and_from_terms():
     m = (1, 0, 2, 0, 0, 0)
-    assert monomial(m, 3) == from_terms({m: 3})
+    assert monomial(m, 3) == Poly({m: 3})
     assert monomial(m, 0).is_zero()
 
 
@@ -199,13 +198,19 @@ def test_compositions_need_a_part(parts):
         list(compositions(3, parts))
 
 
-@pytest.mark.parametrize("bad", [0.5, 2.0, True, "1"], ids=["float", "whole float", "bool", "str"])
+@pytest.mark.parametrize(
+    "bad", [0.5, 2.0, 0.0, True, "1"], ids=["float", "whole float", "zero float", "bool", "str"]
+)
 def test_poly_refuses_inexact_coefficients(bad):
     mono = (1, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match=r"term \(1, 0, 0, 0, 0, 0\) has coefficient"):
         Poly({mono: bad})
     with pytest.raises(ValueError, match="not an int or Fraction"):
         monomial(mono, bad)
+    with pytest.raises(ValueError, match="not an int or Fraction"):
+        variable("a").scale(bad)
+    with pytest.raises(ValueError, match="not an int or Fraction"):
+        constant(bad)
 
 
 @pytest.mark.parametrize("bad", [1.0, True, "1", -1], ids=["float", "bool", "str", "negative"])

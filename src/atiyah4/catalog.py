@@ -325,14 +325,13 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
     exactly the alphas the table maps to themselves keeps the
     first-arrival order.
 
-    Products are taken on packed monomial keys, 3 bits per distance
-    exponent (``_pack``); an exponent is at most MAX_ENUMERATION_ORDER,
-    below 8, so adding two keys multiplies two monomials without a carry.
-    Each t_k is a 3-term linear form of key offsets, and t^alpha is
-    expanded through a prefix stack: ``prefix[k]`` is the product of
-    t_j^alpha_j over the slots j < k of the last alpha expanded, and only
-    the slots from the first one where the new alpha differs are
-    multiplied out again.
+    Products are taken on packed monomial keys (``polyring.pack``) at the
+    width that holds every exponent up to ``order``, so adding two keys
+    multiplies two monomials without a carry.  Each t_k is a 3-term
+    linear form of key offsets, and t^alpha is expanded through a prefix
+    stack: ``prefix[k]`` is the product of t_j^alpha_j over the slots
+    j < k of the last alpha expanded, and only the slots from the first
+    one where the new alpha differs are multiplied out again.
 
     Equality is decided on the integer orbit totals of t^alpha, summed
     straight from the packed keys through a map from each degree-order
@@ -349,15 +348,16 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
             f"the guard is {MAX_ENUMERATION_ORDER}"
         )
     orbits = OrbitTable(t_slot_action())
+    width = polyring.pack_width(order)
     forms = [
-        tuple((_pack(mono), coeff) for mono, coeff in t.terms.items())
+        tuple((polyring.pack(mono, width), coeff) for mono, coeff in t.terms.items())
         for t in triangular_basis()
     ]
     canonical_of: dict[int, int] = {}  # packed monomial -> packed canonical
     monomial_of: dict[int, Mono] = {}  # packed canonical -> canonical monomial
     for mono in polyring.compositions(order, polyring.N_VARS):
         canonical = orbit_canonical(mono)
-        key = canonical_of[_pack(mono)] = _pack(canonical)
+        key = canonical_of[polyring.pack(mono, width)] = polyring.pack(canonical, width)
         monomial_of[key] = canonical
     prefix: list[dict[int, int]] = [{0: 1}] * (N_TRIANGULAR + 1)
     previous: MultiIndex | None = None
@@ -398,14 +398,6 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
                  for canonical, total in signature})
         for signature, alpha in by_totals.items()
     ]
-
-
-def _pack(mono: Sequence[int]) -> int:
-    """A distance monomial as an int, 3 bits per exponent (each below 8)."""
-    key = 0
-    for shift, exponent in enumerate(mono):
-        key |= exponent << (3 * shift)
-    return key
 
 
 def _times_form(poly: dict[int, int], form: tuple[tuple[int, int], ...]) -> dict[int, int]:

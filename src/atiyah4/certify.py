@@ -262,11 +262,19 @@ def _require_orders(
             )
 
 
+class ConstructionError(ValueError):
+    """A side a check builds from the named polynomials is malformed.
+
+    It is raised apart from the ValueError of a bad certificate, so that a
+    fault in ``catalog`` is not blamed on a sound certificate.
+    """
+
+
 def _require_symmetric(label: str, poly: Poly) -> None:
     # Only a symmetric side is determined by its orbit totals: without this
     # an asymmetric part whose average is zero would pass unseen.
     if not is_symmetric(poly):
-        raise ValueError(f"{label} is not symmetric")
+        raise ConstructionError(f"{label} is not symmetric")
 
 
 # Not used by the checks; perfbench/spans.py traces it here.

@@ -128,6 +128,10 @@ def _certificate_check(name: str, cert_dir: Path | None) -> dict:
         raise UsageError(
             f"cannot read certificate file {exc.filename}: {exc.strerror}"
         ) from exc
+    except certify.ConstructionError as exc:
+        return _check_entry(
+            name, "fail", time.perf_counter() - started, f"construction fault: {exc}"
+        )
     except ValueError as exc:
         return _check_entry(
             name, "fail", time.perf_counter() - started, f"unusable certificate: {exc}"

@@ -9,9 +9,15 @@ from exponent vectors (6-tuples of non-negative ints, fixed variable order
 
 Coefficients are plain Python ints whenever the value is integral and
 ``fractions.Fraction`` otherwise; arithmetic is exact, nothing ever rounds.
-The int fast path matters: the certificate residuals push tens of millions
-of coefficient merges through these dicts, and integer adds are several
-times cheaper than Fraction adds.
+
+Products are taken on packed keys: :func:`pack` writes a monomial as one
+int, ``width`` bits per exponent, so that adding two keys multiplies two
+monomials.  A product packs each factor once, at a width taken from the
+degree bound ``deg f + deg g`` (:func:`pack_width`), so no exponent sum
+can carry into the next field at any degree; its inner loop is then an
+int add and an int-keyed dict merge per term pair instead of a 6-tuple
+built and hashed.  The sum is unpacked to exponent tuples once, and zero
+and integral-Fraction coefficients are dropped or collapsed there.
 
 ``Poly`` values are immutable by convention: no public operation mutates an
 existing instance, and the ``terms`` dict of a constructed polynomial must
@@ -21,7 +27,7 @@ be treated as read-only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Mono = tuple[int, int, int, int, int, int]
@@ -101,7 +107,7 @@ class Poly:
         """Total degree, or None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(sum(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """True if every term has the same total degree.
@@ -184,47 +190,31 @@ class Poly:
             result[mono] = product
         return Poly._raw(result)
 
-    def _mul_poly(self, other: "Poly", into: dict[Mono, Coeff] | None = None) -> "Poly | None":
-        # Iterate the smaller factor on the outside: fewer dict rebuilds.
-        # With ``into`` the product is added to that dict in place, left
-        # unnormalized, and nothing is returned (see ``sum_of_products``).
-        left, right = self.terms, other.terms
-        if len(left) > len(right):
-            left, right = right, left
-        result: dict[Mono, Coeff] = {} if into is None else into
-        get = result.get
-        for m1, c1 in left.items():
-            e1 = m1
-            for m2, c2 in right.items():
-                mono = (
-                    e1[0] + m2[0],
-                    e1[1] + m2[1],
-                    e1[2] + m2[2],
-                    e1[3] + m2[3],
-                    e1[4] + m2[4],
-                    e1[5] + m2[5],
-                )
-                total = get(mono, 0) + c1 * c2
-                if total:
-                    result[mono] = total
-                elif mono in result:
-                    del result[mono]
-        if into is not None:
-            return None
-        return Poly._raw(_normalized(result))
+    def _mul_poly(self, other: "Poly", into: "_PackedSum | None" = None) -> "Poly | None":
+        # With ``into`` the product is added to that packed sum in place
+        # and nothing is returned (see ``sum_of_products``).
+        total = _PackedSum() if into is None else into
+        total.add_product(self, other)
+        if into is None:
+            return Poly._raw(total.unpacked())
+        return None
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take a non-negative int exponent")
-        result = constant(1)
+        if exponent == 0:
+            return constant(1)
+        # Square and multiply, starting from the first factor taken.
+        result = None
         base = self
         n = exponent
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- evaluation ------------------------------------------------------
 
@@ -294,26 +284,107 @@ def zero() -> Poly:
 
 
 def sum_of_products(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
-    """Sum of p * q over the pairs, multiplied into one dict the call owns.
+    """Sum of p * q over the pairs, multiplied into one packed sum.
 
     Writing ``total = total + p * q`` keeps the running sum, the product
     and the copy made by the add alive at once; here each product is
-    added in place as it is formed.  The pairs are drawn one at a time,
-    so a factor built lazily by a generator is dropped after its product.
+    added in place as it is formed and the sum is unpacked once.  The
+    pairs are drawn one at a time, so a factor built lazily by a
+    generator is dropped after its product.
     """
-    result: dict[Mono, Coeff] = {}
+    total = _PackedSum()
     for p, q in pairs:
-        p._mul_poly(q, result)
+        p._mul_poly(q, total)
         del p, q  # let q go before the next pair is built
-    return Poly._raw(_normalized(result))
+    return Poly._raw(total.unpacked())
 
 
-def _normalized(terms: dict[Mono, Coeff]) -> dict[Mono, Coeff]:
-    """Collapse integral Fractions to ints in place; return the dict."""
-    for mono, coeff in terms.items():
-        if type(coeff) is Fraction and coeff.denominator == 1:
-            terms[mono] = coeff.numerator
-    return terms
+# -- packed keys -------------------------------------------------------------
+
+
+def pack_width(degree: int) -> int:
+    """Bits per exponent field that hold every exponent up to ``degree``."""
+    return degree.bit_length()
+
+
+def pack(mono: Sequence[int], width: int) -> int:
+    """A monomial as an int key, ``width`` bits per exponent, ``a`` lowest.
+
+    While every exponent of a product fits in ``width`` bits, the key of
+    the product is the sum of the keys of the factors.  At any such width
+    keys order as the exponent vectors read from ``z`` down to ``a``.
+    """
+    return (
+        mono[0]
+        | mono[1] << width
+        | mono[2] << 2 * width
+        | mono[3] << 3 * width
+        | mono[4] << 4 * width
+        | mono[5] << 5 * width
+    )
+
+
+def unpack(key: int, width: int) -> Mono:
+    """The exponent vector of a key packed at ``width`` (inverse of pack)."""
+    mask = (1 << width) - 1
+    return (
+        key & mask,
+        key >> width & mask,
+        key >> 2 * width & mask,
+        key >> 3 * width & mask,
+        key >> 4 * width & mask,
+        key >> 5 * width,
+    )
+
+
+class _PackedSum:
+    """A sum of products under construction, on packed keys of one width.
+
+    Coefficients are merged unnormalized: a zero or an integral Fraction
+    stays in ``terms`` until :meth:`unpacked`.
+    """
+
+    __slots__ = ("width", "terms")
+
+    def __init__(self) -> None:
+        self.width = 0
+        self.terms: dict[int, Coeff] = {}
+
+    def add_product(self, f: Poly, g: Poly) -> None:
+        if not f.terms or not g.terms:
+            return
+        width = pack_width(f.degree() + g.degree())
+        if width > self.width:
+            # Re-key the sum so far, so that this product cannot carry.
+            old = self.width
+            self.terms = {pack(unpack(k, old), width): c for k, c in self.terms.items()}
+            self.width = width
+        else:
+            width = self.width
+        # The smaller factor goes on the outside; the larger is packed once.
+        outer, inner = f.terms, g.terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        keys = [pack(m, width) for m in inner]
+        coeffs = inner.values()
+        terms = self.terms
+        get = terms.get
+        for m1, c1 in outer.items():
+            k1 = pack(m1, width)
+            for k2, c2 in zip(keys, coeffs):
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+
+    def unpacked(self) -> dict[Mono, Coeff]:
+        """The nonzero terms on exponent tuples, integral Fractions as ints."""
+        width = self.width
+        result: dict[Mono, Coeff] = {}
+        for key, coeff in self.terms.items():
+            if coeff:
+                if type(coeff) is Fraction and coeff.denominator == 1:
+                    coeff = coeff.numerator
+                result[unpack(key, width)] = coeff
+        return result
 
 
 def constant(value: Coeff) -> Poly:

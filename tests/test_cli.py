@@ -165,6 +165,19 @@ def test_corrupted_certificate_fails_with_diagnostic(tmp_path, capsys):
     assert "residual has" in out
 
 
+def test_skewed_fixed_side_is_a_construction_fault(monkeypatch, capsys):
+    # The bundled sec3 certificate is sound; only catalog.n4 is broken.
+    catalog.named_polynomials()  # fill the caches before n4 is replaced
+    a, b = catalog.A, catalog.B
+    skewed = catalog.n4() + a**6 - b**6
+    monkeypatch.setattr(catalog, "n4", lambda: skewed)
+    assert run_cli("--json", "verify", "sec3") == 1
+    (entry,) = json.loads(capsys.readouterr().out)["checks"]
+    assert entry["status"] == "fail"
+    assert "unusable certificate" not in entry["detail"]
+    assert entry["detail"] == "construction fault: sec3 fixed side is not symmetric"
+
+
 def test_verify_all_skips_deep_checks_when_base_fails(tmp_path, capsys):
     _copy_certs(tmp_path)
     _corrupt_coeff(tmp_path / "sec3.cert")

@@ -111,6 +111,117 @@ def test_pow_is_repeated_mul(f, k):
     assert f**k == expected
 
 
+def test_pow_starts_from_the_first_factor(monkeypatch):
+    products = []
+    real = Poly._mul_poly
+
+    def counting(self, other, into=None):
+        products.append((len(self.terms), len(other.terms)))
+        return real(self, other, into)
+
+    monkeypatch.setattr(Poly, "_mul_poly", counting)
+    f = variable("a") + variable("b")
+    assert f**0 == constant(1) and products == []
+    assert f**1 == f and products == []
+    square = f**2
+    assert products == [(2, 2)]  # no 1 x n product by constant(1)
+    products.clear()
+    f**5  # squarings to f^2 and f^4, then f * f^4
+    assert products == [(2, 2), (3, 3), (2, 5)]
+    monkeypatch.undo()
+    assert square == Poly({(2, 0, 0, 0, 0, 0): 1, (1, 1, 0, 0, 0, 0): 2, (0, 2, 0, 0, 0, 0): 1})
+
+
+# -- products on packed keys -------------------------------------------------
+
+#: Exponents up to 300: past any narrow packed field.
+wide_monos = st.tuples(*[st.integers(min_value=0, max_value=300)] * 6)
+
+
+@st.composite
+def wide_polys(draw, max_terms=5):
+    n = draw(st.integers(min_value=0, max_value=max_terms))
+    return Poly({draw(wide_monos): draw(coeffs) for _ in range(n)})
+
+
+def reference_product(f, g):
+    """f * g on exponent tuples, one term pair at a time, zeros dropped."""
+    terms = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            terms[mono] = terms.get(mono, 0) + c1 * c2
+    return {mono: coeff for mono, coeff in terms.items() if coeff}
+
+
+def assert_normalized(poly):
+    for coeff in poly.terms.values():
+        assert coeff
+        assert type(coeff) is int or coeff.denominator != 1
+
+
+@given(wide_polys(), wide_polys())
+@settings(max_examples=150)
+def test_mul_matches_a_tuple_key_reference(f, g):
+    product = f * g
+    assert product.terms == reference_product(f, g)
+    assert_normalized(product)
+
+
+@given(wide_monos, wide_monos)
+def test_pack_round_trips_and_adds_monomials(m1, m2):
+    total = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+    width = polyring.pack_width(max(total))
+    assert polyring.unpack(polyring.pack(m1, width), width) == m1
+    assert polyring.pack(m1, width) + polyring.pack(m2, width) == polyring.pack(total, width)
+
+
+def test_mul_cancels_to_exact_zero_terms():
+    a, b, x = variable("a"), variable("b"), variable("x")
+    f = a**200 + Fraction(1, 3) * b**7 * x**300
+    g = a**200 - Fraction(1, 3) * b**7 * x**300
+    # The cross terms cancel; the Fraction squares sum to an int.
+    assert (f * g).terms == {(400, 0, 0, 0, 0, 0): 1, (0, 14, 0, 600, 0, 0): Fraction(-1, 9)}
+    h = Fraction(1, 2) * a**300 + Fraction(1, 2) * b
+    assert (h * (2 * a**300 - 2 * b)).terms == {
+        (600, 0, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0, 0): -1
+    }
+    assert polyring.sum_of_products([(f, g), (-f, g)]).is_zero()
+
+
+def test_sum_of_products_widens_for_later_pairs():
+    a, b, x = variable("a"), variable("b"), variable("x")
+    pairs = [
+        (constant(Fraction(1, 2)), constant(3)),  # degree 0
+        (a, b),  # degree 2
+        (a**3 - b, x**4),  # degree 7
+        (a**200 + b, x**100 - constant(Fraction(1, 3))),  # degree 300
+        (b**300, b**300 * x - a),  # degree 601
+        (a**255 + b**255, a + b),  # back to degree 256, on the wide field
+    ]
+    expected = zero()
+    for f, g in pairs:
+        expected = expected + Poly(reference_product(f, g))
+    total = polyring.sum_of_products(iter(pairs))
+    assert total == expected
+    assert_normalized(total)
+    assert total.terms[(0, 600, 0, 1, 0, 0)] == 1
+    assert total.terms[(0, 0, 0, 0, 0, 0)] == Fraction(3, 2)
+
+
+@given(st.lists(st.tuples(wide_polys(max_terms=3), wide_polys(max_terms=3)), max_size=5))
+@settings(max_examples=60)
+def test_sum_of_products_matches_the_separate_products(pairs):
+    # Later pairs have larger total degree, so the packed sum must widen.
+    pairs.sort(key=lambda pair: (pair[0].degree() or 0) + (pair[1].degree() or 0))
+    expected = zero()
+    for f, g in pairs:
+        expected = expected + Poly(reference_product(f, g))
+    total = polyring.sum_of_products(pair for pair in pairs)
+    assert total == expected
+    assert_normalized(total)
+
+
 @given(polys(max_terms=4), polys(max_terms=4), points)
 @settings(max_examples=60)
 def test_evaluate_is_ring_homomorphism(f, g, u):

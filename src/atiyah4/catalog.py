@@ -259,42 +259,44 @@ def t_alpha_expand(alpha: Sequence[int]) -> Poly:
 
 
 def t_combination(terms: Iterable[tuple[Sequence[int], Coeff]]) -> Poly:
-    """Expand sum(lam * t^alpha) over a table as a Horner scheme over faces.
+    """Expand sum(lam * t^alpha) over a table as a Horner scheme over slots.
 
-    The faces (a b x), (b c y), (a c z), (x y z) own slots 1-3, 4-6, 7-9
-    and 10-12.  Rows are grouped by their face-1 exponents (e1, e2, e3),
-    each group's faces 2-4 are summed the same way, and that inner sum is
-    multiplied once by the face block t1^e1 t2^e2 t3^e3, so a block shared
-    by many rows costs one product instead of one per row.  Each block is
-    expanded once per call; groups keep the order rows first appear in.
+    Rows are grouped by their slot-1 exponent and each group's slots 2-12
+    are summed the same way.  Walking the exponents downwards, each step
+    down multiplies the running sum by t1 and the next group's sum is
+    added after the step's last multiply; the final sum is multiplied by
+    t1 to the least exponent.  For exponents 3 and 1 that is
+    (S3 t1^2 + S1) t1: t_k is multiplied in once per unit step, never once
+    per row.  All products run on packed keys at the width of the largest
+    row order (``_times_form``, which adds a step's last product straight
+    into the next group's sum), and the total is unpacked once.
     """
-    blocks: dict[tuple[int, ...], Poly] = {}
+    rows = [(check_multi_index(alpha), lam) for alpha, lam in terms]
+    if not rows:
+        return polyring.zero()
+    width = polyring.pack_width(max(sum(alpha) for alpha, _ in rows))
+    forms = _packed_forms(width)
 
-    def block(face: int, exponents: tuple[int, ...]) -> Poly:
-        alpha = (0,) * (3 * face) + exponents + (0,) * (9 - 3 * face)
-        poly = blocks.get(alpha)
-        if poly is None:
-            poly = blocks[alpha] = t_alpha_expand(alpha)
-        return poly
-
-    def horner(rows: list[tuple[MultiIndex, Coeff]], face: int) -> Poly:
-        groups: dict[tuple[int, ...], list[tuple[MultiIndex, Coeff]]] = {}
+    def horner(rows: list[tuple[MultiIndex, Coeff]], slot: int) -> dict[int, Coeff]:
+        if slot == N_TRIANGULAR:  # the rows left share one alpha
+            return {0: sum(lam for _, lam in rows)}
+        groups: dict[int, list[tuple[MultiIndex, Coeff]]] = {}
         for row in rows:
-            groups.setdefault(row[0][3 * face : 3 * face + 3], []).append(row)
-        if face == 3:  # the last face: each group's rows share one alpha
-            return sum(
-                (
-                    block(face, exponents).scale(sum(lam for _, lam in group))
-                    for exponents, group in groups.items()
-                ),
-                polyring.zero(),
-            )
-        return polyring.sum_of_products(
-            (block(face, exponents), horner(group, face + 1))
-            for exponents, group in groups.items()
-        )
+            groups.setdefault(row[0][slot], []).append(row)
+        form = forms[slot]
+        exponents = sorted(groups, reverse=True)
+        above = exponents[0]
+        total = horner(groups[above], slot + 1)
+        for exponent in exponents[1:]:
+            for _ in range(above - exponent - 1):
+                total = _times_form(total, form)
+            total = _times_form(total, form, horner(groups[exponent], slot + 1))
+            above = exponent
+        for _ in range(above):
+            total = _times_form(total, form)
+        return total
 
-    return horner([(check_multi_index(alpha), lam) for alpha, lam in terms], 0)
+    return Poly._raw(polyring.unpacked(horner(rows, 0), width))
 
 
 def av_t_alpha(alpha: Sequence[int]) -> Poly:
@@ -349,10 +351,7 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
         )
     orbits = OrbitTable(t_slot_action())
     width = polyring.pack_width(order)
-    forms = [
-        tuple((polyring.pack(mono, width), coeff) for mono, coeff in t.terms.items())
-        for t in triangular_basis()
-    ]
+    forms = _packed_forms(width)
     canonical_of: dict[int, int] = {}  # packed monomial -> packed canonical
     monomial_of: dict[int, Mono] = {}  # packed canonical -> canonical monomial
     for mono in polyring.compositions(order, polyring.N_VARS):
@@ -400,10 +399,27 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
     ]
 
 
-def _times_form(poly: dict[int, int], form: tuple[tuple[int, int], ...]) -> dict[int, int]:
-    """A packed-key polynomial times a 3-term linear form, in a new dict."""
+def _packed_forms(width: int) -> list[tuple[tuple[int, int], ...]]:
+    """t1 .. t12 as 3-term linear forms of (packed key, coefficient)."""
+    return [
+        tuple((polyring.pack(mono, width), coeff) for mono, coeff in t.terms.items())
+        for t in triangular_basis()
+    ]
+
+
+def _times_form(
+    poly: dict[int, Coeff],
+    form: tuple[tuple[int, int], ...],
+    result: dict[int, Coeff] | None = None,
+) -> dict[int, Coeff]:
+    """A packed-key polynomial times a 3-term linear form.
+
+    The product is added into ``result`` when it is given, else into a
+    new dict; the dict written to is returned.
+    """
     (d1, c1), (d2, c2), (d3, c3) = form
-    result: dict[int, int] = {}
+    if result is None:
+        result = {}
     get = result.get
     for key, coeff in poly.items():
         k = key + d1

@@ -14,8 +14,9 @@ equals av(P) exactly when ``orbit_totals(T) == orbit_totals(P)``
 of the differences.  A check passes only when there are none.
 
 A coefficient table is expanded as one polynomial, sum(coeff * t^alpha),
-by ``catalog.t_combination``: a Horner scheme over the four faces that
-multiplies each shared face block once rather than once per row.
+by ``catalog.t_combination``: a Horner scheme over the twelve slots on
+packed keys that multiplies t_k in once per exponent step rather than
+once per row.
 """
 
 from __future__ import annotations

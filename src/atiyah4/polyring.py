@@ -190,14 +190,29 @@ class Poly:
             result[mono] = product
         return Poly._raw(result)
 
-    def _mul_poly(self, other: "Poly", into: "_PackedSum | None" = None) -> "Poly | None":
-        # With ``into`` the product is added to that packed sum in place
-        # and nothing is returned (see ``sum_of_products``).
-        total = _PackedSum() if into is None else into
-        total.add_product(self, other)
-        if into is None:
-            return Poly._raw(total.unpacked())
-        return None
+    def _mul_poly(self, other: "Poly") -> "Poly":
+        """The product, merged on packed keys and unpacked once.
+
+        The width holds every exponent up to ``deg f + deg g``, so no
+        exponent sum carries.  The smaller factor goes on the outside; the
+        larger is packed once.
+        """
+        outer, inner = self.terms, other.terms
+        if not outer or not inner:
+            return Poly._raw({})
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        width = pack_width(self.degree() + other.degree())
+        keys = [pack(m, width) for m in inner]
+        coeffs = inner.values()
+        terms: dict[int, Coeff] = {}
+        get = terms.get
+        for m1, c1 in outer.items():
+            k1 = pack(m1, width)
+            for k2, c2 in zip(keys, coeffs):
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+        return Poly._raw(unpacked(terms, width))
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -283,22 +298,6 @@ def zero() -> Poly:
     return Poly._raw({})
 
 
-def sum_of_products(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
-    """Sum of p * q over the pairs, multiplied into one packed sum.
-
-    Writing ``total = total + p * q`` keeps the running sum, the product
-    and the copy made by the add alive at once; here each product is
-    added in place as it is formed and the sum is unpacked once.  The
-    pairs are drawn one at a time, so a factor built lazily by a
-    generator is dropped after its product.
-    """
-    total = _PackedSum()
-    for p, q in pairs:
-        p._mul_poly(q, total)
-        del p, q  # let q go before the next pair is built
-    return Poly._raw(total.unpacked())
-
-
 # -- packed keys -------------------------------------------------------------
 
 
@@ -337,54 +336,19 @@ def unpack(key: int, width: int) -> Mono:
     )
 
 
-class _PackedSum:
-    """A sum of products under construction, on packed keys of one width.
+def unpacked(terms: Mapping[int, Coeff], width: int) -> dict[Mono, Coeff]:
+    """Packed-key ``terms`` on exponent tuples, ready for ``Poly._raw``.
 
-    Coefficients are merged unnormalized: a zero or an integral Fraction
-    stays in ``terms`` until :meth:`unpacked`.
+    A packed sum merges coefficients unnormalized; here a zero is dropped
+    and a Fraction with denominator 1 becomes an int.
     """
-
-    __slots__ = ("width", "terms")
-
-    def __init__(self) -> None:
-        self.width = 0
-        self.terms: dict[int, Coeff] = {}
-
-    def add_product(self, f: Poly, g: Poly) -> None:
-        if not f.terms or not g.terms:
-            return
-        width = pack_width(f.degree() + g.degree())
-        if width > self.width:
-            # Re-key the sum so far, so that this product cannot carry.
-            old = self.width
-            self.terms = {pack(unpack(k, old), width): c for k, c in self.terms.items()}
-            self.width = width
-        else:
-            width = self.width
-        # The smaller factor goes on the outside; the larger is packed once.
-        outer, inner = f.terms, g.terms
-        if len(outer) > len(inner):
-            outer, inner = inner, outer
-        keys = [pack(m, width) for m in inner]
-        coeffs = inner.values()
-        terms = self.terms
-        get = terms.get
-        for m1, c1 in outer.items():
-            k1 = pack(m1, width)
-            for k2, c2 in zip(keys, coeffs):
-                k = k1 + k2
-                terms[k] = get(k, 0) + c1 * c2
-
-    def unpacked(self) -> dict[Mono, Coeff]:
-        """The nonzero terms on exponent tuples, integral Fractions as ints."""
-        width = self.width
-        result: dict[Mono, Coeff] = {}
-        for key, coeff in self.terms.items():
-            if coeff:
-                if type(coeff) is Fraction and coeff.denominator == 1:
-                    coeff = coeff.numerator
-                result[unpack(key, width)] = coeff
-        return result
+    result: dict[Mono, Coeff] = {}
+    for key, coeff in terms.items():
+        if coeff:
+            if type(coeff) is Fraction and coeff.denominator == 1:
+                coeff = coeff.numerator
+            result[unpack(key, width)] = coeff
+    return result
 
 
 def constant(value: Coeff) -> Poly:

@@ -164,20 +164,25 @@ def test_t_alpha_expand_simple_cases():
     assert catalog.t_alpha_expand(two) == basis[0] * basis[0]
 
 
-FACE_BLOCKS = [block for total in range(3) for block in compositions(total, 3)]
+FACE_BLOCKS = [block for total in range(5) for block in compositions(total, 3)]
 
 
 @st.composite
 def tables(draw):
-    """Rows of order 0-8 built from a few exponent blocks per face, so that
-    rows share face prefixes; some rows come with a cancelling partner."""
+    """Rows of order 0-12 built from a few exponent blocks per face, so that
+    rows share face prefixes and a slot's exponents can lie up to 4 apart;
+    some rows come with a cancelling partner."""
     pools = [
         draw(st.lists(st.sampled_from(FACE_BLOCKS), min_size=1, max_size=3))
         for _ in range(4)
     ]
     rows = []
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
-        alpha = sum((draw(st.sampled_from(pool)) for pool in pools), ())
+        alpha = ()
+        for pool in pools:  # a block that would pass order 12 is left out
+            room = 12 - sum(alpha)
+            fitting = [block for block in pool if sum(block) <= room]
+            alpha += draw(st.sampled_from(fitting or [(0, 0, 0)]))
         lam = draw(st.integers(min_value=-5, max_value=5) | rationals)
         rows.append((alpha, lam))
         if draw(st.booleans()):

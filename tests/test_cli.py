@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import atiyah4
 from atiyah4 import catalog, certify, lp
 from atiyah4.cli import build_parser, main, resolve_cert_dir
 
@@ -215,11 +216,19 @@ def test_parser_has_expected_defaults():
     assert args.mode == "generic"
 
 
+def _child_env():
+    """The environment for a child interpreter that imports the tested package."""
+    src = str(Path(atiyah4.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "atiyah4.cli", "eval", "z4", "1", "1", "1", "1", "1", "1"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "= 2" in proc.stdout
@@ -235,6 +244,7 @@ def _run_into_closed_pipe(*argv):
             stderr=subprocess.PIPE,
             text=True,
             timeout=120,
+            env=_child_env(),
         )
     finally:
         os.close(write_end)

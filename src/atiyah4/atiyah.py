@@ -399,8 +399,12 @@ def geometric_distance_samples(
 
 @lru_cache(maxsize=None)
 def _float_fn(name: str):
-    """Compiled float evaluator of a catalog polynomial, built on first use."""
-    return float_evaluator(catalog.named_polynomials()[name])
+    """Compiled float evaluator of d4, w4 or z4, built on first use.
+
+    Only these three are built, so sampling never pays for the degree-12
+    entries of ``catalog.named_polynomials``.
+    """
+    return float_evaluator({"d4": catalog.d4, "w4": catalog.w4, "z4": catalog.z4}[name]())
 
 
 def _d3_float(p: float, q: float, r: float) -> float:

@@ -242,7 +242,7 @@ def check_multi_index(alpha: Sequence[int]) -> MultiIndex:
     alpha = tuple(alpha)
     if len(alpha) != N_TRIANGULAR:
         raise ValueError(f"multi-index needs {N_TRIANGULAR} slots, got {len(alpha)}")
-    if any(not isinstance(e, int) or e < 0 for e in alpha):
+    if any(type(e) is not int or e < 0 for e in alpha):
         raise ValueError(f"multi-index entries must be non-negative ints: {alpha}")
     return alpha
 
@@ -342,7 +342,7 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
     totals.  A coefficient totals[c] / |orbit(c)| is an int when it
     divides and a Fraction otherwise, formed once per (total, c).
     """
-    if not isinstance(order, int) or order < 0:
+    if type(order) is not int or order < 0:
         raise ValueError("order must be a non-negative int")
     if order > MAX_ENUMERATION_ORDER:
         raise ValueError(

@@ -33,7 +33,11 @@ If any step fails (float status not optimal, pivot cap hit, singular
 basis, a failed check), the same tableau code runs over Fraction as an
 exact two-phase simplex on the same rows, entering by Bland's
 lowest-index rule, which cannot cycle and so always ends in a verdict.
-"infeasible" and "unbounded" only ever come from this exact path.
+An optimal basis from this fallback goes through the same certificate
+(step 3), and one that fails it raises ``RuntimeError``, so "optimal"
+always means a verified certificate.  "infeasible" and "unbounded" only
+ever come from the exact path and carry no certificate (a Farkas
+certificate for them is out of scope).
 """
 
 from __future__ import annotations
@@ -263,31 +267,27 @@ def _iterate(tableau: list[list[Num]], obj: list[Num], basis: list[int],
     return "pivot cap", done
 
 
-def _simplex(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], exact: bool = True
-             ) -> tuple[str, list[int], list[Num], int]:
-    """Two-phase primal simplex: maximize alpha+ - alpha- over rows, x >= 0.
+def _simplex(matrix: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff],
+             cost: Sequence[Coeff], exact: bool = True) -> tuple[str, list[int], int]:
+    """Two-phase primal simplex: maximize cost . x over matrix x = rhs, x >= 0.
 
     Exact runs in Fraction with zero tolerance, Bland's rule and no pivot
     budget; otherwise in float with FLOAT_TOL, steepest-edge pricing and
-    at most FLOAT_PIVOT_CAP pivots (see :func:`_iterate`).  Returns ``(status, basis, values,
-    pivots)``: status is "optimal", "infeasible", "unbounded" or "pivot
-    cap"; basis lists the basic columns (0 alpha+, 1 alpha-, 2 + j
-    lambda_j); values is the vertex when optimal.
+    at most FLOAT_PIVOT_CAP pivots (see :func:`_iterate`).  Returns
+    ``(status, basis, pivots)``: status is "optimal", "infeasible",
+    "unbounded" or "pivot cap"; basis lists the basic columns of matrix.
     """
     num, tol = (Fraction, 0) if exact else (float, FLOAT_TOL)
     budget = math.inf if exact else FLOAT_PIVOT_CAP
-    m = len(rows)
-    k = len(rows[0]) - 1  # lambda count
-    n = 2 + k  # alpha+ alpha- lambda_1..lambda_k
+    m = len(matrix)
+    n = len(cost)
     zero = num(0)
 
     # Constraint rows with nonnegative right-hand sides.
     tableau: list[list[Num]] = []
-    for row, b in zip(rows, rhs):
+    for row, b in zip(matrix, rhs):
         sign = -1 if b < 0 else 1
-        body = [num(sign * row[0]), num(-sign * row[0])]
-        body.extend(num(sign * v) for v in row[1:])
-        tableau.append(body + [zero] * m + [num(sign * b)])
+        tableau.append([num(sign * v) for v in row] + [zero] * m + [num(sign * b)])
     for i in range(m):
         tableau[i][n + i] = num(1)
     basis = [n + i for i in range(m)]
@@ -298,11 +298,11 @@ def _simplex(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], exact: bool = True
         obj[n + i] = zero
     state, pivots = _iterate(tableau, obj, basis, n + m, exact, budget)
     if state == "pivot cap":
-        return state, basis, [], pivots
+        return state, basis, pivots
     if state == "unbounded":  # cannot happen: objective bounded by 0
         raise RuntimeError("phase 1 reported unbounded")
     if abs(obj[-1]) > tol:
-        return "infeasible", basis, [], pivots
+        return "infeasible", basis, pivots
 
     # Drive artificials out of the basis; drop rows that went redundant.
     for i in range(m - 1, -1, -1):
@@ -318,31 +318,13 @@ def _simplex(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], exact: bool = True
 
     # Phase 2 on the real columns only.
     tableau = [row[:n] + [row[-1]] for row in tableau]
-    cost = [num(1), num(-1)] + [zero] * k
-    obj = [zero] * (n + 1)
-    for j in range(n + 1):
-        total = zero
-        for i, tab_row in enumerate(tableau):
-            c = cost[basis[i]]
-            if c:
-                total += c * tab_row[j]
-        obj[j] = (cost[j] if j < n else zero) - total
+    obj = [num(c) for c in cost] + [zero]
+    for i, tab_row in enumerate(tableau):
+        c = cost[basis[i]]
+        if c:
+            obj = [a - c * v for a, v in zip(obj, tab_row)]
     state, done = _iterate(tableau, obj, basis, n, exact, budget - pivots)
-    pivots += done
-    if state != "optimal":
-        return state, basis, [], pivots
-
-    values = [zero] * n
-    for i, var in enumerate(basis):
-        values[var] = tableau[i][-1]
-    return "optimal", basis, values, pivots
-
-
-def _float_basis(rows: list[tuple[Coeff, ...]], rhs: list[Coeff]
-                 ) -> tuple[str, list[int], int]:
-    """Candidate optimal basis from the simplex in float: (status, basis, pivots)."""
-    status, basis, _, pivots = _simplex(rows, rhs, exact=False)
-    return status, basis, pivots
+    return state, basis, pivots + done
 
 
 def _standard_form(rows: list[tuple[Coeff, ...]]) -> tuple[list[list[Coeff]], list[int]]:
@@ -353,14 +335,13 @@ def _standard_form(rows: list[tuple[Coeff, ...]]) -> tuple[list[list[Coeff]], li
     return matrix, cost
 
 
-def _basis_solution(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], basis: list[int]
-                    ) -> tuple[list[Fraction], list[Fraction]] | None:
+def _basis_solution(matrix: list[list[Coeff]], rhs: list[Coeff], cost: list[int],
+                    basis: list[int]) -> tuple[list[Fraction], list[Fraction]] | None:
     """Exact primal x (zero off the basis) and dual y of a basis.
 
     Solves B x_B = b and B^T y = c_B over Fraction; None when the basis is
     not a nonsingular square submatrix.
     """
-    matrix, cost = _standard_form(rows)
     m = len(matrix)
     if len(basis) != m:
         return None
@@ -378,8 +359,8 @@ def _basis_solution(rows: list[tuple[Coeff, ...]], rhs: list[Coeff], basis: list
     return x, [r[-1] for r in dual]
 
 
-def _check_certificate(problem: LpProblem, rows: list[tuple[Coeff, ...]],
-                       rhs: list[Coeff], basis: list[int],
+def _check_certificate(problem: LpProblem, matrix: list[list[Coeff]], rhs: list[Coeff],
+                       cost: list[int], basis: list[int],
                        x: Sequence[Fraction], y: Sequence[Fraction]) -> str:
     """"verified" when (x, y) proves x optimal, else the first failed condition.
 
@@ -388,11 +369,10 @@ def _check_certificate(problem: LpProblem, rows: list[tuple[Coeff, ...]],
     (which pins y to the basis), and b^T y must equal alpha.  Weak duality
     then bounds the alpha of every feasible point by b^T y.
     """
-    matrix, cost = _standard_form(rows)
     if any(v < 0 for v in x):
         return "x has a negative entry"
     alpha = x[0] - x[1]
-    if not _reconstructs(problem, alpha, _multipliers(problem, x)):
+    if not _reconstructs(problem, alpha, dict(zip(problem.column_names[1:], x[2:]))):
         return "x does not reproduce d4"
     basic = set(basis)
     labels = ("alpha+", "alpha-") + problem.column_names[1:]
@@ -405,43 +385,49 @@ def _check_certificate(problem: LpProblem, rows: list[tuple[Coeff, ...]],
     return "verified"
 
 
-def _multipliers(problem: LpProblem, x: Sequence[Num]) -> dict[str, Num]:
-    return {name: x[2 + j] for j, name in enumerate(problem.column_names[1:])}
-
-
 def solve(problem: LpProblem) -> LpSolution:
-    """Float-guided exact solve with an exact fallback; deterministic."""
+    """Float-guided exact solve with an exact fallback; deterministic.
+
+    Whichever pass found it, an optimal basis is reported only once its
+    exact certificate is verified.
+    """
     rows, rhs = _independent_rows(problem.matrix, problem.rhs)
-    state, basis, float_pivots = _float_basis(rows, rhs)
+    matrix, cost = _standard_form(rows)
+
+    def check_basis(basis: list[int], origin: str) -> tuple[str, list[Fraction] | None]:
+        solved = _basis_solution(matrix, rhs, cost, basis)
+        if solved is None:
+            return f"{origin} basis is singular", None
+        return _check_certificate(problem, matrix, rhs, cost, basis, *solved), solved[0]
+
+    state, basis, float_pivots = _simplex(matrix, rhs, cost, exact=False)
     verdict = f"float pass ended {state}"
     if state == "optimal":
-        solved = _basis_solution(rows, rhs, basis)
-        verdict = "float basis is singular" if solved is None else _check_certificate(
-            problem, rows, rhs, basis, *solved
-        )
+        verdict, x = check_basis(basis, "float")
     if verdict == "verified":
-        return _solution(problem, "optimal", solved[0], True, "certified",
-                         float_pivots, 0, verdict)
+        return _solution(problem, "optimal", x, "certified", float_pivots, 0, verdict)
 
-    state, _, values, exact_pivots = _simplex(rows, rhs)
-    ok = state == "optimal" and _reconstructs(
-        problem, values[0] - values[1], _multipliers(problem, values)
-    )
-    return _solution(problem, state, values, ok, "exact-fallback",
+    state, basis, exact_pivots = _simplex(matrix, rhs, cost)
+    x = None
+    if state == "optimal":
+        exact_verdict, x = check_basis(basis, "exact")
+        if exact_verdict != "verified":
+            raise RuntimeError(f"exact simplex basis failed its certificate: {exact_verdict}")
+    return _solution(problem, state, x, "exact-fallback",
                      float_pivots, exact_pivots, f"rejected: {verdict}")
 
 
-def _solution(problem: LpProblem, status: str, values: list[Fraction], ok: bool,
-              route: str, float_pivots: int, exact_pivots: int,
-              certificate: str) -> LpSolution:
-    multipliers = _multipliers(problem, values) if status == "optimal" else {}
+def _solution(problem: LpProblem, status: str, x: list[Fraction] | None, route: str,
+              float_pivots: int, exact_pivots: int, certificate: str) -> LpSolution:
+    optimal = status == "optimal"
+    multipliers = dict(zip(problem.column_names[1:], x[2:])) if optimal else {}
     return LpSolution(
         status=status,
-        objective=values[0] - values[1] if status == "optimal" else None,
+        objective=x[0] - x[1] if optimal else None,
         multipliers=multipliers,
         support=tuple(name for name, v in multipliers.items() if v > 0),
         pivots=float_pivots + exact_pivots,
-        reconstruction_ok=ok,
+        reconstruction_ok=optimal,
         route=route,
         float_pivots=float_pivots,
         exact_pivots=exact_pivots,

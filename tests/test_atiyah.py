@@ -28,6 +28,7 @@ from atiyah4.atiyah import (
     triangle_slacks,
     volume_squared_scaled,
 )
+from atiyah4.polyring import VAR_NAMES, constant, variable, zero
 from atiyah4.symmetry import permute_tuple
 
 components = st.floats(
@@ -218,6 +219,44 @@ def test_cayley_menger_exact_values():
     exact = tuple(round(d) for d in collinear)
     assert cayley_menger_det(exact) == 0
     assert volume_squared_scaled(exact) == 0
+
+
+def test_z4_is_half_the_cayley_menger_determinant():
+    # The exact backing of z4 >= 0: z4 = CM / 2 = 144 V^2 as polynomials.
+    # The matrix has the layout of cayley_menger_det, over Poly entries,
+    # and is expanded by Leibniz over the 120 permutations.
+    a2, b2, c2, x2, y2, z2 = (variable(name) ** 2 for name in VAR_NAMES)
+    matrix = [
+        [0, 1, 1, 1, 1],
+        [1, 0, x2, z2, a2],
+        [1, x2, 0, y2, b2],
+        [1, z2, y2, 0, c2],
+        [1, a2, b2, c2, 0],
+    ]
+    det = zero()
+    for perm in permutations(range(5)):
+        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+        term = constant((-1) ** inversions)
+        for row, col in enumerate(perm):
+            term = term * matrix[row][col]
+        det = det + term
+    z4 = catalog.z4()
+    assert det == 2 * z4
+    # The same layout as the shipped function, checked where it is exact.
+    for u in [*special_vectors(), (1, 1, 1, 1, 1, 1)]:
+        assert cayley_menger_det(u) == 2 * z4.evaluate(u)
+
+
+def test_sampling_needs_no_degree_12_registry(monkeypatch):
+    def refuse():
+        raise AssertionError("sampling built the degree-12 registry")
+
+    monkeypatch.setattr(catalog, "named_polynomials", refuse)
+    atiyah._float_fn.cache_clear()
+    try:
+        assert run_samples(4, 5).passed()
+    finally:
+        atiyah._float_fn.cache_clear()
 
 
 def test_cayley_menger_float_path_matches_exact():

@@ -152,6 +152,11 @@ def test_check_multi_index_rejects_bad_shapes():
         catalog.check_multi_index((1, 2, 3))
     with pytest.raises(ValueError):
         catalog.check_multi_index((-1,) + (0,) * 11)
+    for bad in (True, 1.0, Fraction(1)):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            catalog.check_multi_index((bad,) + (0,) * 11)
+    with pytest.raises(ValueError, match="non-negative ints"):
+        catalog.format_alpha((True,) + (0,) * 11)
     assert catalog.check_multi_index([0] * 12) == (0,) * 12
 
 
@@ -318,6 +323,9 @@ def test_enumerate_T_guards_order():
         catalog.enumerate_T(7)
     with pytest.raises(ValueError):
         catalog.enumerate_T(-1)
+    for bad in (True, False, 1.0):
+        with pytest.raises(ValueError, match="non-negative int"):
+            catalog.enumerate_T(bad)
 
 
 def test_named_registry_is_consistent(named):

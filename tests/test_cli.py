@@ -125,6 +125,17 @@ def test_lp_report_carries_the_route(monkeypatch, capsys):
     )
 
 
+def test_lp_report_carries_the_fallback_route(monkeypatch, capsys):
+    gap = catalog.d4() - 64 * catalog.p4()
+    monkeypatch.setattr(lp, "standard_basis", lambda extras: [("gap", gap)])
+    monkeypatch.setattr(lp, "FLOAT_PIVOT_CAP", 0)
+    assert run_cli("--json", "lp") == 0
+    entry = json.loads(capsys.readouterr().out)["checks"][0]
+    assert entry["alpha"] == "64"
+    assert entry["route"] == "exact-fallback"
+    assert entry["certificate"] == "rejected: float pass ended pivot cap"
+
+
 def test_missing_certificate_directory(capsys):
     assert run_cli("--certs", "/no/such/dir", "verify", "sec3") == 2
     assert "not found" in capsys.readouterr().err

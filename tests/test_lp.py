@@ -83,9 +83,14 @@ def test_certificate_support_reproduces_the_best_bound():
     assert all(v >= 0 for v in solution.multipliers.values())
 
 
-def _singular_basis(rows, rhs):
-    # alpha+ and alpha- are opposite columns, so any basis holding both is singular.
-    return "optimal", [0, 1] + list(range(2, 2 + len(rows) - 2)), 0
+def _singular_float_pass(simplex):
+    # alpha+ and alpha- are opposite columns, so any basis holding both is
+    # singular.  Only the float pass is replaced; the exact one runs as is.
+    def patched(matrix, rhs, cost, exact=True):
+        if exact:
+            return simplex(matrix, rhs, cost)
+        return "optimal", list(range(len(matrix))), 0
+    return patched
 
 
 @pytest.mark.parametrize("force", ["pivot cap 0", "singular basis"])
@@ -95,7 +100,7 @@ def test_bad_float_basis_takes_the_exact_fallback(force, monkeypatch):
         monkeypatch.setattr(lp, "FLOAT_PIVOT_CAP", 0)
         reason = "rejected: float pass ended pivot cap"
     else:
-        monkeypatch.setattr(lp, "_float_basis", _singular_basis)
+        monkeypatch.setattr(lp, "_simplex", _singular_float_pass(lp._simplex))
         reason = "rejected: float basis is singular"
     solution = solve(problem)
     assert solution.route == "exact-fallback"
@@ -104,6 +109,15 @@ def test_bad_float_basis_takes_the_exact_fallback(force, monkeypatch):
     assert solution.objective == Fraction(188, 3)
     assert solution.reconstruction_ok
     assert solution.float_pivots == 0 and solution.pivots == solution.exact_pivots > 0
+
+
+def test_exact_basis_that_fails_its_certificate_raises(monkeypatch):
+    # The fallback's "optimal" is judged by the same certificate as the
+    # float pass's; a rejected exact basis is a defect, not a result.
+    monkeypatch.setattr(lp, "_check_certificate", lambda *args: "x does not reproduce d4")
+    problem = build_program(sec3_basis())
+    with pytest.raises(RuntimeError, match="x does not reproduce d4"):
+        solve(problem)
 
 
 @st.composite
@@ -129,14 +143,14 @@ def test_exact_simplex_ends_in_a_correct_verdict(problem):
     # must come with a basis whose exact certificate checks.
     rows, rhs = lp._independent_rows(problem.matrix, problem.rhs)
     assume(rows)
-    state, basis, values, _ = lp._simplex(rows, rhs)
+    matrix, cost = lp._standard_form(rows)
+    state, basis, _ = lp._simplex(matrix, rhs, cost)
     assert state in ("optimal", "infeasible", "unbounded")
     if state == "optimal":
-        solved = lp._basis_solution(rows, rhs, basis)
+        solved = lp._basis_solution(matrix, rhs, cost, basis)
         assert solved is not None
         x, y = solved
-        assert x == values
-        assert lp._check_certificate(problem, rows, rhs, basis, x, y) == "verified"
+        assert lp._check_certificate(problem, matrix, rhs, cost, basis, x, y) == "verified"
 
 
 @given(degenerate_programs())
@@ -146,10 +160,15 @@ def test_solve_agrees_with_the_exact_simplex(problem):
     # certified result carries a verified certificate.
     rows, rhs = lp._independent_rows(problem.matrix, problem.rhs)
     assume(rows)
-    state, _, values, _ = lp._simplex(rows, rhs)
+    matrix, cost = lp._standard_form(rows)
+    state, basis, _ = lp._simplex(matrix, rhs, cost)
+    objective = None
+    if state == "optimal":
+        x, _ = lp._basis_solution(matrix, rhs, cost, basis)
+        objective = x[0] - x[1]
     solution = solve(problem)
     assert solution.status == state
-    assert solution.objective == (values[0] - values[1] if state == "optimal" else None)
+    assert solution.objective == objective
     if solution.route == "certified":
         assert solution.certificate == "verified" and solution.exact_pivots == 0
 
@@ -158,17 +177,18 @@ def test_solve_agrees_with_the_exact_simplex(problem):
 def sec3_certificate():
     problem = build_program(sec3_basis())
     rows, rhs = lp._independent_rows(problem.matrix, problem.rhs)
-    state, basis, _ = lp._float_basis(rows, rhs)
+    matrix, cost = lp._standard_form(rows)
+    state, basis, _ = lp._simplex(matrix, rhs, cost, exact=False)
     assert state == "optimal"
-    x, y = lp._basis_solution(rows, rhs, basis)
-    assert lp._check_certificate(problem, rows, rhs, basis, x, y) == "verified"
-    return problem, rows, rhs, basis, x, y
+    x, y = lp._basis_solution(matrix, rhs, cost, basis)
+    assert lp._check_certificate(problem, matrix, rhs, cost, basis, x, y) == "verified"
+    return problem, matrix, rhs, cost, basis, x, y
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_dual_checker_rejects_any_perturbed_y(sec3_certificate, data):
-    problem, rows, rhs, basis, x, y = sec3_certificate
+    problem, matrix, rhs, cost, basis, x, y = sec3_certificate
     delta = data.draw(st.lists(st.fractions(max_denominator=10**6),
                                min_size=len(y), max_size=len(y)))
     if data.draw(st.booleans()):
@@ -177,18 +197,18 @@ def test_dual_checker_rejects_any_perturbed_y(sec3_certificate, data):
         delta[pivot] -= sum(b * d for b, d in zip(rhs, delta)) / rhs[pivot]
     assume(any(delta))
     moved = [v + d for v, d in zip(y, delta)]
-    assert lp._check_certificate(problem, rows, rhs, basis, x, moved) != "verified"
+    assert lp._check_certificate(problem, matrix, rhs, cost, basis, x, moved) != "verified"
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_dual_checker_rejects_a_negative_x(sec3_certificate, data):
-    problem, rows, rhs, basis, x, y = sec3_certificate
+    problem, matrix, rhs, cost, basis, x, y = sec3_certificate
     index = data.draw(st.integers(0, len(x) - 1))
     value = data.draw(st.fractions(max_denominator=10**6).filter(bool))
     moved = list(x)
     moved[index] = -abs(value)
-    verdict = lp._check_certificate(problem, rows, rhs, basis, x=moved, y=y)
+    verdict = lp._check_certificate(problem, matrix, rhs, cost, basis, x=moved, y=y)
     assert verdict == "x has a negative entry"
 
 

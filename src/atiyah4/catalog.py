@@ -12,8 +12,8 @@ the package reasons about:
   the inequality |At|^2 >= product of the four 3-point determinants.
 * the twelve triangular variables ``t1 .. t12`` (triangle-inequality slack
   in each face), monomials ``t^alpha``, combinations sum(lam t^alpha)
-  over a table, their symmetric averages, and the family ``T_ell`` of all
-  averaged order-``ell`` monomials, as orbit vectors.
+  over a table, and the family ``T_ell`` of all averaged order-``ell``
+  monomials, as orbit vectors.
 
 All constructions are cached; treat every returned Poly as immutable.
 """
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from . import polyring, symmetry
+from . import polyring
 from .polyring import Coeff, Mono, Poly
 from .symmetry import (
     GROUP_ORDER,
@@ -48,29 +48,19 @@ N_TRIANGULAR = 12
 
 
 def triple_factor(p: Poly, q: Poly, r: Poly) -> Poly:
-    """(-p+q+r) (p-q+r) (p+q-r), the shared shape of the face products."""
-    return (-p + q + r) * (p - q + r) * (p + q - r)
+    """(-p+q+r) (p-q+r) (p+q-r), the shared shape of the face products.
 
-
-def make_d3(first: str, second: str, third: str) -> Poly:
-    """Triangle polynomial of three distinct distance variables.
-
-    ``make_d3('x', 'y', 'z')`` is 16 times the squared Heron area of a
-    triangle with side lengths x, y, z, up to the usual factor; what
-    matters downstream is only that it is nonnegative exactly when the
-    three lengths satisfy the triangle inequality.
+    On side lengths p, q, r it is 16 (area)^2 / (p + q + r) by Heron's
+    formula; what matters downstream is only that it is nonnegative exactly
+    when the triangle inequality holds.
     """
-    names = (first, second, third)
-    if len(set(names)) != 3:
-        raise ValueError(f"d3 needs three distinct variables, got {names}")
-    p, q, r = (polyring.variable(name) for name in names)
-    return triple_factor(p, q, r)
+    return (-p + q + r) * (p - q + r) * (p + q - r)
 
 
 @cache
 def d3() -> Poly:
-    """The default triangle polynomial in (x, y, z)."""
-    return make_d3("x", "y", "z")
+    """The triangle polynomial of the face (x, y, z)."""
+    return triple_factor(X, Y, Z)
 
 
 @cache
@@ -137,10 +127,10 @@ def m4() -> Poly:
 def big_p4() -> Poly:
     """Product of the four 3-point determinants, one per face."""
     return (
-        (8 * X * Y * Z + make_d3("x", "y", "z"))
-        * (8 * A * B * X + make_d3("a", "b", "x"))
-        * (8 * A * C * Z + make_d3("a", "c", "z"))
-        * (8 * B * C * Y + make_d3("b", "c", "y"))
+        (8 * X * Y * Z + d3())
+        * (8 * A * B * X + triple_factor(A, B, X))
+        * (8 * A * C * Z + triple_factor(A, C, Z))
+        * (8 * B * C * Y + triple_factor(B, C, Y))
     )
 
 
@@ -159,7 +149,7 @@ def f4() -> Poly:
 
 @cache
 def named_polynomials() -> dict[str, Poly]:
-    """Registry used by the command-line ``eval`` and ``dump`` commands."""
+    """Registry of every named polynomial, for the command-line ``eval``."""
     registry = {
         "d3": d3(),
         "p4": p4(),
@@ -299,16 +289,6 @@ def t_combination(terms: Iterable[tuple[Sequence[int], Coeff]]) -> Poly:
     return Poly._raw(polyring.unpacked(horner(rows, 0), width))
 
 
-def av_t_alpha(alpha: Sequence[int]) -> Poly:
-    """The symmetric average of t^alpha."""
-    return sym_average(t_alpha_expand(alpha))
-
-
-def alpha_orbit_canonical(alpha: Sequence[int]) -> MultiIndex:
-    """Lexicographically maximal image of alpha under the slot action."""
-    return OrbitTable(t_slot_action()).canonical(check_multi_index(alpha))
-
-
 def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
     """All distinct averaged monomials av[t^alpha] with |alpha| = order.
 
@@ -436,24 +416,3 @@ def format_alpha(alpha: Sequence[int]) -> str:
     alpha = check_multi_index(alpha)
     groups = ["".join(str(e) for e in alpha[i : i + 3]) for i in range(0, 12, 3)]
     return ",".join(groups)
-
-
-def sym_average_of_values(values: Sequence[Coeff], exponents: Sequence[int]) -> Coeff:
-    """Numeric av[t^alpha] at a concrete point, bypassing expansion.
-
-    Evaluates the twelve slacks at the point, then averages the monomial
-    over the 24 permuted points.  Serves as an independent route when
-    testing the expanded polynomials.
-    """
-    alpha = check_multi_index(exponents)
-    basis = triangular_basis()
-    total: Coeff = 0
-    for i in range(GROUP_ORDER):
-        point = symmetry.permute_tuple(values, i)
-        slacks = [t.evaluate(point) for t in basis]
-        term: Coeff = 1
-        for slack, exponent in zip(slacks, alpha):
-            if exponent:
-                term *= slack ** exponent
-        total += term
-    return polyring.normalize_coeff(Fraction(total) / 24)

@@ -58,9 +58,6 @@ class Certificate:
     multiplier_terms: tuple[tuple[MultiIndex, int], ...] = ()
     notes: tuple[str, ...] = ()
 
-    def term_count(self) -> int:
-        return len(self.terms)
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -246,10 +243,18 @@ def load_bundled(cert_id: str) -> Certificate:
 # -- residual machinery ------------------------------------------------------
 
 
-def _require_id(cert: Certificate, expected: str) -> None:
+#: The slot order of ``catalog.triangular_basis``, three slots per face.
+_SLOT_MAPPING = "(t1 t2 t3)(t4 t5 t6)(t7 t8 t9)(t10 t11 t12)"
+
+
+def _require_header(cert: Certificate, expected: str) -> None:
     if cert.cert_id != expected:
         raise ValueError(
             f"certificate id mismatch: expected {expected!r}, got {cert.cert_id!r}"
+        )
+    if cert.slot_mapping != _SLOT_MAPPING:
+        raise ValueError(
+            f"slot mapping mismatch: expected {_SLOT_MAPPING!r}, got {cert.slot_mapping!r}"
         )
 
 
@@ -317,7 +322,7 @@ def _report(identity: str, residual: Poly, started: float) -> ResidualReport:
 def check_sec3(cert: Certificate) -> ResidualReport:
     """Degree-6 identity: 3 d4 = 188 p4 + 10 z4 + 4 n4 + 2 v4^2 + sum."""
     started = time.perf_counter()
-    _require_id(cert, "sec3-188/3")
+    _require_header(cert, "sec3-188/3")
     if cert.scale != 3:
         raise ValueError(f"sec3 certificate must have scale 3, got {cert.scale}")
     _require_orders(cert.terms, 6, "sec3")
@@ -336,7 +341,7 @@ def check_sec3(cert: Certificate) -> ResidualReport:
 def check_eq42(cert: Certificate) -> ResidualReport:
     """Degree-12 identity: 64 p4 m4 equals the averaged combination."""
     started = time.perf_counter()
-    _require_id(cert, "eq42")
+    _require_header(cert, "eq42")
     if cert.scale != 64:
         raise ValueError(f"eq42 certificate must have scale 64, got {cert.scale}")
     _require_orders(cert.terms, 12, "eq42")
@@ -355,7 +360,7 @@ def check_eq53(cert: Certificate) -> ResidualReport:
     av(P): it multiplies the mu table before the average, not after.
     """
     started = time.perf_counter()
-    _require_id(cert, "eq53")
+    _require_header(cert, "eq53")
     if cert.scale != 128:
         raise ValueError(f"eq53 certificate must have scale 128, got {cert.scale}")
     if not cert.multiplier_terms:

@@ -23,11 +23,12 @@ not floating-point estimates.  A solve takes three steps:
    pricing (Goldfarb & Reid, Math. Programming 1977), a zero tolerance
    and a pivot cap, to find a candidate optimal basis B.
 3. Exact certificate.  B x = b and B^T y = c_B are solved in Fraction.
-   The result is accepted only if x >= 0, x reproduces d4 on every
-   orbit row, every column has nonpositive reduced cost under y (zero
-   on the basis) and b^T y = alpha.  By weak duality no feasible point has
-   a larger alpha, so optimality is proved, not taken on the float
-   solver's word.
+   x gives alpha and the multipliers lambda, y a weight per kept orbit
+   row.  They are accepted only if lambda >= 0, they reproduce d4 on every
+   orbit row, y gives p4 the value 1 and every other column at least 0,
+   and b^T y = alpha (:func:`check_optimality`, which needs no basis).  By
+   weak duality no feasible point has a larger alpha, so optimality is
+   proved, not taken on the float solver's word.
 
 If any step fails (float status not optimal, pivot cap hit, singular
 basis, a failed check), the same tableau code runs over Fraction as an
@@ -82,7 +83,6 @@ class LpSolution:
     multipliers: dict[str, Fraction]
     support: tuple[str, ...]
     pivots: int  # float_pivots + exact_pivots
-    reconstruction_ok: bool
     route: str  # "certified" | "exact-fallback"
     float_pivots: int
     exact_pivots: int
@@ -176,14 +176,12 @@ def build_program(basis: Sequence[tuple[str, Column]]) -> LpProblem:
     )
 
 
-def _independent_rows(rows: Sequence[tuple[Coeff, ...]], rhs: Sequence[Coeff]
-                      ) -> tuple[list[tuple[Coeff, ...]], list[Coeff]]:
-    # A maximal independent set of the rows [row | rhs], in their original
-    # order.  Every dropped row is an exact combination of the kept ones,
-    # right-hand side included, so the kept rows have the same solutions.
+def _independent_rows(rows: Sequence[tuple[Coeff, ...]], rhs: Sequence[Coeff]) -> list[int]:
+    # The indices, in order, of a maximal independent set of the rows
+    # [row | rhs].  Every dropped row is an exact combination of the kept
+    # ones, right-hand side included, so the kept rows have the same solutions.
     _, _, sources, _ = gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)])
-    keep = sorted(sources)
-    return [rows[i] for i in keep], [rhs[i] for i in keep]
+    return sorted(sources)
 
 
 def _pivot(tableau: list[list[Num]], obj: list[Num], basis: list[int],
@@ -327,12 +325,13 @@ def _simplex(matrix: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff],
     return state, basis, pivots + done
 
 
-def _standard_form(rows: list[tuple[Coeff, ...]]) -> tuple[list[list[Coeff]], list[int]]:
-    # Constraint rows over alpha+, alpha-, lambda_1..lambda_k and the cost
-    # vector of the objective alpha+ - alpha-.
-    matrix = [[row[0], -row[0], *row[1:]] for row in rows]
-    cost = [1, -1] + [0] * (len(rows[0]) - 1)
-    return matrix, cost
+def _standard_form(problem: LpProblem, keep: list[int]
+                   ) -> tuple[list[list[Coeff]], list[Coeff], list[int]]:
+    # The kept rows over alpha+, alpha-, lambda_1..lambda_k, their
+    # right-hand side, and the cost vector of the objective alpha+ - alpha-.
+    matrix = [[row[0], -row[0], *row[1:]] for row in (problem.matrix[i] for i in keep)]
+    cost = [1, -1] + [0] * (len(problem.column_names) - 1)
+    return matrix, [problem.rhs[i] for i in keep], cost
 
 
 def _basis_solution(matrix: list[list[Coeff]], rhs: list[Coeff], cost: list[int],
@@ -359,28 +358,27 @@ def _basis_solution(matrix: list[list[Coeff]], rhs: list[Coeff], cost: list[int]
     return x, [r[-1] for r in dual]
 
 
-def _check_certificate(problem: LpProblem, matrix: list[list[Coeff]], rhs: list[Coeff],
-                       cost: list[int], basis: list[int],
-                       x: Sequence[Fraction], y: Sequence[Fraction]) -> str:
-    """"verified" when (x, y) proves x optimal, else the first failed condition.
+def check_optimality(problem: LpProblem, alpha: Fraction, multipliers: dict[str, Fraction],
+                     y: dict[Mono, Fraction]) -> str:
+    """"verified" when y proves (alpha, multipliers) optimal, else the first failed condition.
 
-    x must be nonnegative and reproduce d4 on every orbit row; under y
-    every column must have nonpositive reduced cost, zero on the basis
-    (which pins y to the basis), and b^T y must equal alpha.  Weak duality
-    then bounds the alpha of every feasible point by b^T y.
+    y is keyed by orbit-canonical monomial; a row it does not name weighs 0.
+    The multipliers must be nonnegative (alpha is free) and, with alpha,
+    reproduce d4 on every orbit row; y must give the alpha column (p4) 1
+    and every other column at least 0; and b^T y must equal alpha.  Weak
+    duality then bounds the alpha of every feasible point by b^T y.
     """
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in multipliers.values()):
         return "x has a negative entry"
-    alpha = x[0] - x[1]
-    if not _reconstructs(problem, alpha, dict(zip(problem.column_names[1:], x[2:]))):
+    if not _reconstructs(problem, alpha, multipliers):
         return "x does not reproduce d4"
-    basic = set(basis)
-    labels = ("alpha+", "alpha-") + problem.column_names[1:]
-    for j, c in enumerate(cost):
-        reduced = c - sum(v * row[j] for v, row in zip(y, matrix) if row[j])
-        if reduced > 0 or (reduced and j in basic):
-            return f"column {labels[j]} has reduced cost {reduced}"
-    if sum(b * v for b, v in zip(rhs, y)) != alpha:
+    rows = zip(problem.monomials, problem.matrix, problem.rhs)
+    weighted = [(y[mono], row, b) for mono, row, b in rows if y.get(mono)]
+    for j, name in enumerate(problem.column_names):
+        value = sum(w * row[j] for w, row, _ in weighted if row[j])
+        if value < 0 or (j == 0 and value != 1):
+            return f"column {name} has y value {value}"
+    if sum(w * b for w, _, b in weighted) != alpha:
         return "b^T y differs from alpha"
     return "verified"
 
@@ -391,43 +389,45 @@ def solve(problem: LpProblem) -> LpSolution:
     Whichever pass found it, an optimal basis is reported only once its
     exact certificate is verified.
     """
-    rows, rhs = _independent_rows(problem.matrix, problem.rhs)
-    matrix, cost = _standard_form(rows)
+    keep = _independent_rows(problem.matrix, problem.rhs)
+    matrix, rhs, cost = _standard_form(problem, keep)
 
-    def check_basis(basis: list[int], origin: str) -> tuple[str, list[Fraction] | None]:
+    def check_basis(basis: list[int], origin: str
+                    ) -> tuple[str, tuple[Fraction, dict[str, Fraction]] | None]:
         solved = _basis_solution(matrix, rhs, cost, basis)
         if solved is None:
             return f"{origin} basis is singular", None
-        return _check_certificate(problem, matrix, rhs, cost, basis, *solved), solved[0]
+        x, y = solved
+        point = x[0] - x[1], dict(zip(problem.column_names[1:], x[2:]))
+        duals = {problem.monomials[i]: v for i, v in zip(keep, y)}
+        return check_optimality(problem, *point, duals), point
 
     state, basis, float_pivots = _simplex(matrix, rhs, cost, exact=False)
     verdict = f"float pass ended {state}"
     if state == "optimal":
-        verdict, x = check_basis(basis, "float")
+        verdict, point = check_basis(basis, "float")
     if verdict == "verified":
-        return _solution(problem, "optimal", x, "certified", float_pivots, 0, verdict)
+        return _solution("optimal", point, "certified", float_pivots, 0, verdict)
 
     state, basis, exact_pivots = _simplex(matrix, rhs, cost)
-    x = None
+    point = None
     if state == "optimal":
-        exact_verdict, x = check_basis(basis, "exact")
+        exact_verdict, point = check_basis(basis, "exact")
         if exact_verdict != "verified":
             raise RuntimeError(f"exact simplex basis failed its certificate: {exact_verdict}")
-    return _solution(problem, state, x, "exact-fallback",
+    return _solution(state, point, "exact-fallback",
                      float_pivots, exact_pivots, f"rejected: {verdict}")
 
 
-def _solution(problem: LpProblem, status: str, x: list[Fraction] | None, route: str,
+def _solution(status: str, point: tuple[Fraction, dict[str, Fraction]] | None, route: str,
               float_pivots: int, exact_pivots: int, certificate: str) -> LpSolution:
-    optimal = status == "optimal"
-    multipliers = dict(zip(problem.column_names[1:], x[2:])) if optimal else {}
+    alpha, multipliers = point or (None, {})
     return LpSolution(
         status=status,
-        objective=x[0] - x[1] if optimal else None,
+        objective=alpha,
         multipliers=multipliers,
         support=tuple(name for name, v in multipliers.items() if v > 0),
         pivots=float_pivots + exact_pivots,
-        reconstruction_ok=optimal,
         route=route,
         float_pivots=float_pivots,
         exact_pivots=exact_pivots,

@@ -265,18 +265,6 @@ def is_skew_symmetric(poly: Poly) -> bool:
     return True
 
 
-def compose(first: int, second: int) -> int:
-    """Row index applying row ``first`` and then row ``second``.
-
-    ``apply_perm(apply_perm(p, first), second) == apply_perm(p, compose(first, second))``.
-    """
-    _check_row_index(first)
-    _check_row_index(second)
-    row_f, row_s = ROWS[first], ROWS[second]
-    combined = tuple(row_s[row_f[k]] for k in range(N_VARS))
-    return _ROW_LOOKUP[combined]
-
-
 _ROW_LOOKUP = {row: i for i, row in enumerate(ROWS)}
 
 

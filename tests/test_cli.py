@@ -56,6 +56,15 @@ def test_verify_vectors34_passes(capsys):
     assert "21/21" in out
 
 
+def test_verify_vectors34_needs_no_degree_12_registry(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("vectors34 built the degree-12 registry")
+
+    monkeypatch.setattr(catalog, "named_polynomials", refuse)
+    assert run_cli("verify", "vectors34") == 0
+    assert "21/21" in capsys.readouterr().out
+
+
 def test_verify_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "eq41")
@@ -175,6 +184,21 @@ def test_corrupted_certificate_fails_with_diagnostic(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "residual has" in out
+
+
+def test_certificate_in_another_slot_order_is_unusable(tmp_path, capsys):
+    # The table would be read in the checker's slot order, not its own.
+    _copy_certs(tmp_path)
+    path = tmp_path / "sec3.cert"
+    path.write_text(path.read_text().replace("(t1 t2 t3)(t4", "(t1 t3 t2)(t4"))
+    assert run_cli("--json", "--certs", str(tmp_path), "verify", "sec3") == 1
+    (entry,) = json.loads(capsys.readouterr().out)["checks"]
+    assert entry["status"] == "fail"
+    assert entry["detail"].startswith("unusable certificate: slot mapping mismatch")
+    assert "(t1 t2 t3)(t4 t5 t6)(t7 t8 t9)(t10 t11 t12)" in entry["detail"]
+    assert "(t1 t3 t2)(t4 t5 t6)(t7 t8 t9)(t10 t11 t12)" in entry["detail"]
+    _copy_certs(tmp_path)
+    assert run_cli("--certs", str(tmp_path), "verify", "all") == 0
 
 
 def test_skewed_fixed_side_is_a_construction_fault(monkeypatch, capsys):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from atiyah4 import catalog, certify, lp
 from atiyah4.linalg import gauss_jordan
 from atiyah4.polyring import Poly, compositions, variable
-from atiyah4.symmetry import orbit_canonical, orbit_sum, orbit_totals, spread
+from atiyah4.symmetry import orbit_canonical, orbit_sum, orbit_totals, spread, sym_average
 from atiyah4.lp import (
     WITNESS,
     build_program,
@@ -29,6 +29,10 @@ from atiyah4.lp import (
 )
 
 
+def gap_basis():
+    return [("gap", catalog.d4() - 64 * catalog.p4())]
+
+
 def test_gap_fixture_reaches_the_ceiling():
     gap = catalog.d4() - 64 * catalog.p4()
     problem = build_program([("gap", gap)])
@@ -36,7 +40,6 @@ def test_gap_fixture_reaches_the_ceiling():
     assert solution.status == "optimal"
     assert solution.objective == 64
     assert solution.multipliers["gap"] == 1
-    assert solution.reconstruction_ok
     assert solution.route == "certified" and solution.certificate == "verified"
     assert combination_polynomial([("gap", gap)], solution) == catalog.d4()
 
@@ -66,7 +69,8 @@ def sec3_basis():
         ("v4sq", catalog.v4() ** 2),
     ]
     for alpha, _ in cert.terms:
-        basis.append((f"av[t^{catalog.format_alpha(alpha)}]", catalog.av_t_alpha(alpha)))
+        average = sym_average(catalog.t_alpha_expand(alpha))
+        basis.append((f"av[t^{catalog.format_alpha(alpha)}]", average))
     return basis
 
 
@@ -76,7 +80,6 @@ def test_certificate_support_reproduces_the_best_bound():
     solution = solve(problem)
     assert solution.status == "optimal"
     assert solution.objective == Fraction(188, 3)
-    assert solution.reconstruction_ok
     assert solution.route == "certified"
     assert solution.exact_pivots == 0 and solution.pivots == solution.float_pivots > 0
     assert combination_polynomial(basis, solution) == catalog.d4()
@@ -107,14 +110,13 @@ def test_bad_float_basis_takes_the_exact_fallback(force, monkeypatch):
     assert solution.certificate == reason
     assert solution.status == "optimal"
     assert solution.objective == Fraction(188, 3)
-    assert solution.reconstruction_ok
     assert solution.float_pivots == 0 and solution.pivots == solution.exact_pivots > 0
 
 
 def test_exact_basis_that_fails_its_certificate_raises(monkeypatch):
     # The fallback's "optimal" is judged by the same certificate as the
     # float pass's; a rejected exact basis is a defect, not a result.
-    monkeypatch.setattr(lp, "_check_certificate", lambda *args: "x does not reproduce d4")
+    monkeypatch.setattr(lp, "check_optimality", lambda *args: "x does not reproduce d4")
     problem = build_program(sec3_basis())
     with pytest.raises(RuntimeError, match="x does not reproduce d4"):
         solve(problem)
@@ -136,21 +138,27 @@ def degenerate_programs(draw):
     )
 
 
+def _certificate(problem, keep, solved):
+    """(alpha, multipliers, y) of a ``_basis_solution`` result, as solve checks it."""
+    x, y = solved
+    multipliers = dict(zip(problem.column_names[1:], x[2:]))
+    return x[0] - x[1], multipliers, {problem.monomials[i]: v for i, v in zip(keep, y)}
+
+
 @given(degenerate_programs())
 @settings(max_examples=400, deadline=None)
 def test_exact_simplex_ends_in_a_correct_verdict(problem):
     # Bland's rule alone must terminate, and every "optimal" it reports
     # must come with a basis whose exact certificate checks.
-    rows, rhs = lp._independent_rows(problem.matrix, problem.rhs)
-    assume(rows)
-    matrix, cost = lp._standard_form(rows)
+    keep = lp._independent_rows(problem.matrix, problem.rhs)
+    assume(keep)
+    matrix, rhs, cost = lp._standard_form(problem, keep)
     state, basis, _ = lp._simplex(matrix, rhs, cost)
     assert state in ("optimal", "infeasible", "unbounded")
     if state == "optimal":
         solved = lp._basis_solution(matrix, rhs, cost, basis)
         assert solved is not None
-        x, y = solved
-        assert lp._check_certificate(problem, matrix, rhs, cost, basis, x, y) == "verified"
+        assert lp.check_optimality(problem, *_certificate(problem, keep, solved)) == "verified"
 
 
 @given(degenerate_programs())
@@ -158,9 +166,9 @@ def test_exact_simplex_ends_in_a_correct_verdict(problem):
 def test_solve_agrees_with_the_exact_simplex(problem):
     # Whatever route solve takes, its verdict is the exact simplex's, and a
     # certified result carries a verified certificate.
-    rows, rhs = lp._independent_rows(problem.matrix, problem.rhs)
-    assume(rows)
-    matrix, cost = lp._standard_form(rows)
+    keep = lp._independent_rows(problem.matrix, problem.rhs)
+    assume(keep)
+    matrix, rhs, cost = lp._standard_form(problem, keep)
     state, basis, _ = lp._simplex(matrix, rhs, cost)
     objective = None
     if state == "optimal":
@@ -176,40 +184,81 @@ def test_solve_agrees_with_the_exact_simplex(problem):
 @pytest.fixture(scope="module")
 def sec3_certificate():
     problem = build_program(sec3_basis())
-    rows, rhs = lp._independent_rows(problem.matrix, problem.rhs)
-    matrix, cost = lp._standard_form(rows)
+    keep = lp._independent_rows(problem.matrix, problem.rhs)
+    matrix, rhs, cost = lp._standard_form(problem, keep)
     state, basis, _ = lp._simplex(matrix, rhs, cost, exact=False)
     assert state == "optimal"
-    x, y = lp._basis_solution(matrix, rhs, cost, basis)
-    assert lp._check_certificate(problem, matrix, rhs, cost, basis, x, y) == "verified"
-    return problem, matrix, rhs, cost, basis, x, y
+    certificate = _certificate(problem, keep, lp._basis_solution(matrix, rhs, cost, basis))
+    assert lp.check_optimality(problem, *certificate) == "verified"
+    return problem, *certificate
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_dual_checker_rejects_any_perturbed_y(sec3_certificate, data):
-    problem, matrix, rhs, cost, basis, x, y = sec3_certificate
+    # Every multiplier of this vertex is positive, so a valid y must give
+    # every column but alpha the value 0; over the kept rows, which are
+    # independent, that leaves one y.
+    problem, alpha, multipliers, y = sec3_certificate
+    assert all(v > 0 for v in multipliers.values())
+    rhs = [problem.rhs[problem.monomials.index(mono)] for mono in y]
     delta = data.draw(st.lists(st.fractions(max_denominator=10**6),
                                min_size=len(y), max_size=len(y)))
     if data.draw(st.booleans()):
-        # keep b^T y unchanged, so that only the reduced costs can object
+        # keep b^T y unchanged, so that only the column values can object
         pivot = next(i for i, b in enumerate(rhs) if b)
         delta[pivot] -= sum(b * d for b, d in zip(rhs, delta)) / rhs[pivot]
     assume(any(delta))
-    moved = [v + d for v, d in zip(y, delta)]
-    assert lp._check_certificate(problem, matrix, rhs, cost, basis, x, moved) != "verified"
+    moved = {mono: v + d for (mono, v), d in zip(y.items(), delta)}
+    assert lp.check_optimality(problem, alpha, multipliers, moved) != "verified"
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_dual_checker_rejects_a_negative_x(sec3_certificate, data):
-    problem, matrix, rhs, cost, basis, x, y = sec3_certificate
-    index = data.draw(st.integers(0, len(x) - 1))
+    problem, alpha, multipliers, y = sec3_certificate
+    name = data.draw(st.sampled_from(sorted(multipliers)))
     value = data.draw(st.fractions(max_denominator=10**6).filter(bool))
-    moved = list(x)
-    moved[index] = -abs(value)
-    verdict = lp._check_certificate(problem, matrix, rhs, cost, basis, x=moved, y=y)
+    moved = {**multipliers, name: -abs(value)}
+    verdict = lp.check_optimality(problem, alpha, moved, y)
     assert verdict == "x has a negative entry"
+
+
+def test_dual_checker_rejects_a_feasible_point_below_the_optimum():
+    # alpha + lambda = 2 with lambda >= 0: y = 1 proves alpha <= 2, so it
+    # certifies alpha = 2 but not the feasible alpha = 1.
+    row = (6, 0, 0, 0, 0, 0)
+    problem = lp.LpProblem(monomials=(row,), column_names=("alpha", "f"),
+                           matrix=((1, 1),), rhs=(2,))
+    assert lp.check_optimality(problem, 2, {"f": 0}, {row: 1}) == "verified"
+    assert lp.check_optimality(problem, 1, {"f": 1}, {row: 1}) == "b^T y differs from alpha"
+
+
+@pytest.mark.parametrize("basis", [gap_basis, sec3_basis], ids=["gap", "sec3"])
+def test_certificate_from_solve_checks_without_the_solver(basis, monkeypatch):
+    # The (alpha, multipliers, y) that solve certifies prove the optimum on
+    # a freshly built program, with no simplex state.
+    seen = []
+    check = lp.check_optimality
+
+    def spy(problem, alpha, multipliers, y):
+        seen.append((alpha, multipliers, y))
+        return check(problem, alpha, multipliers, y)
+
+    monkeypatch.setattr(lp, "check_optimality", spy)
+    solution = solve(build_program(basis()))
+    monkeypatch.undo()
+    [(alpha, multipliers, y)] = seen
+    assert solution.route == "certified"
+    assert (alpha, multipliers) == (solution.objective, solution.multipliers)
+    fresh = build_program(basis())
+    assert lp.check_optimality(fresh, alpha, multipliers, y) == "verified"
+    doubled = {mono: 2 * v for mono, v in y.items()}
+    assert lp.check_optimality(fresh, alpha, multipliers, doubled).startswith("column alpha ")
+    p4_row = next(iter(catalog.p4().terms))
+    assert p4_row in y
+    dropped = {mono: v for mono, v in y.items() if mono != p4_row}
+    assert lp.check_optimality(fresh, alpha, multipliers, dropped) != "verified"
 
 
 def test_build_program_rejects_duplicate_names():
@@ -362,7 +411,8 @@ def test_program_rows_are_deduplicated():
     support = set(catalog.d4().terms) | set(catalog.p4().terms) | set(gap.terms)
     assert {orbit_canonical(mono) for mono in support} == set(problem.monomials)
     assert len(rows) < len(support)
-    kept, kept_rhs = lp._independent_rows(rows, rhs)
+    keep = lp._independent_rows(rows, rhs)
+    kept, kept_rhs = [rows[i] for i in keep], [rhs[i] for i in keep]
     assert len({tuple(r) + (v,) for r, v in zip(kept, kept_rhs)}) == len(kept)
 
 
@@ -370,7 +420,8 @@ def test_row_reduction_keeps_an_independent_spanning_set():
     # rows [p4 | gap | d4] with d4 = 64 p4 + gap: rank 2 however many rows
     problem = build_program([("gap", catalog.d4() - 64 * catalog.p4())])
     rows, rhs = problem.matrix, problem.rhs
-    kept, kept_rhs = lp._independent_rows(rows, rhs)
+    keep = lp._independent_rows(rows, rhs)
+    kept, kept_rhs = [rows[i] for i in keep], [rhs[i] for i in keep]
     assert len(kept) == 2 < len(rows)
     assert all(row in rows for row in kept)
     full = [list(row) + [b] for row, b in zip(rows, rhs)]
@@ -445,7 +496,7 @@ def _solution_with(objective, multipliers):
     return lp.LpSolution(
         status="optimal", objective=objective, multipliers=multipliers,
         support=tuple(name for name, v in multipliers.items() if v), pivots=0,
-        reconstruction_ok=True, route="certified", float_pivots=0, exact_pivots=0,
+        route="certified", float_pivots=0, exact_pivots=0,
         certificate="verified",
     )
 

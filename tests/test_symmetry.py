@@ -14,7 +14,6 @@ from atiyah4.symmetry import (
     SIGNS,
     apply_perm,
     average_of_totals,
-    compose,
     is_skew_symmetric,
     is_symmetric,
     orbit_canonical,
@@ -28,6 +27,19 @@ from atiyah4.symmetry import (
 
 monos = st.tuples(*[st.integers(min_value=0, max_value=3)] * 6)
 row_indices = st.integers(min_value=0, max_value=GROUP_ORDER - 1)
+
+_ROW_INDEX = {row: i for i, row in enumerate(ROWS)}
+
+
+def compose(first: int, second: int) -> int:
+    """Row index applying row ``first`` and then row ``second``.
+
+    ``apply_perm(apply_perm(p, first), second) == apply_perm(p, compose(first, second))``.
+    """
+    row_f, row_s = ROWS[first], ROWS[second]
+    return _ROW_INDEX[tuple(row_s[row_f[k]] for k in range(len(row_f)))]
+
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 points = st.tuples(*[rationals] * 6)
 

@@ -224,13 +224,8 @@ def cayley_menger_det(u):
         [1, a2, b2, c2, 0],
     ]
     if all(isinstance(v, (int, Fraction)) for v in u):
-        return _det_exact(matrix)
+        return normalize_coeff(gauss_jordan(matrix)[2])
     return _det_complex([[complex(float(e)) for e in row] for row in matrix]).real
-
-
-def _det_exact(matrix):
-    rows, _, _, det = gauss_jordan(matrix)
-    return normalize_coeff(det) if len(rows) == len(matrix) else 0
 
 
 def is_geometric_candidate(u, tol: float = 1e-9) -> bool:

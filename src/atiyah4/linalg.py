@@ -1,8 +1,8 @@
 """Exact Gauss-Jordan elimination.
 
 One routine serves every exact linear-algebra need of the package: the
-row reduction and the two basis solves of the LP certificate (``lp``) and
-the exact Cayley-Menger determinant (``atiyah``).
+two basis solves of the LP certificate (``lp``) and the exact
+Cayley-Menger determinant (``atiyah``).
 """
 
 from __future__ import annotations
@@ -16,19 +16,15 @@ from .polyring import Coeff
 
 def gauss_jordan(
     matrix: Sequence[Sequence[Coeff]], ncols: int | None = None
-) -> tuple[list[list[Fraction]], list[int], list[int], Fraction]:
+) -> tuple[list[list[Fraction]], list[int], Fraction]:
     """Reduced row echelon form of ``matrix``, computed exactly.
 
     Pivots are sought only in the first ``ncols`` columns (all of them by
     default), so an augmented right-hand side is carried along without
-    being pivoted on.  Returns ``(rows, pivots, sources, det)``:
+    being pivoted on.  Returns ``(rows, pivots, det)``:
 
     - ``rows[r]`` is the r-th nonzero row of the echelon form; it holds a 1
       in column ``pivots[r]`` and a 0 there in every other row;
-    - ``sources[r]`` is the index of the input row that became ``rows[r]``.
-      The input rows listed in ``sources`` form a maximal independent set
-      (within the searched columns); every other input row is an exact
-      combination of them;
     - ``det`` is the determinant of a square matrix (0 when it is singular).
 
     Each row is scaled to integers first and the elimination is
@@ -43,7 +39,6 @@ def gauss_jordan(
         multiplier = math.lcm(*(v.denominator for v in entries))
         work.append([int(v * multiplier) for v in entries])
         scale *= multiplier
-    sources = list(range(len(work)))
     if ncols is None:
         ncols = len(work[0]) if work else 0
     pivots: list[int] = []
@@ -58,7 +53,6 @@ def gauss_jordan(
             continue
         if found != rank:
             work[rank], work[found] = work[found], work[rank]
-            sources[rank], sources[found] = sources[found], sources[rank]
             sign = -sign
         pivot_row = work[rank]
         pivot = pivot_row[col]
@@ -77,4 +71,4 @@ def gauss_jordan(
     # Every pivot row now carries the last pivot in its pivot column.
     rows = [[Fraction(v, previous) for v in row] for row in work[:rank]]
     det = Fraction(sign * previous, scale) if rank == len(work) else Fraction(0)
-    return rows, pivots, sources[:rank], det
+    return rows, pivots, det

@@ -15,20 +15,19 @@ not floating-point estimates.  A solve takes three steps:
    construction, and d4, p4 and every column given as a Poly are checked
    with ``is_symmetric``.  So each side has one coefficient per orbit of
    the 24-element action, and one row per orbit-canonical monomial says
-   all (32 rows at degree 6 instead of 462).  Exact elimination then keeps a
-   maximal independent set of the rows [row | rhs]; every dropped row is
-   an exact combination of the kept ones, right-hand side included, so
-   the feasible set does not change.
+   all (32 rows at degree 6 instead of 462).  Every orbit row goes to
+   the simplex; rows that are combinations of others need no removal
+   first, as phase 1 drops each row left without a pivot.
 2. Float basis.  The tableau simplex runs in float, with steepest-edge
    pricing (Goldfarb & Reid, Math. Programming 1977), a zero tolerance
    and a pivot cap, to find a candidate optimal basis B.
-3. Exact certificate.  B x = b and B^T y = c_B are solved in Fraction.
-   x gives alpha and the multipliers lambda, y a weight per kept orbit
-   row.  They are accepted only if lambda >= 0, they reproduce d4 on every
-   orbit row, y gives p4 the value 1 and every other column at least 0,
-   and b^T y = alpha (:func:`check_optimality`, which needs no basis).  By
-   weak duality no feasible point has a larger alpha, so optimality is
-   proved, not taken on the float solver's word.
+3. Exact certificate.  B x = b and B^T y = c_B are solved in Fraction
+   over every orbit row.  x gives alpha and the multipliers lambda, y
+   one weight per orbit row.  They are accepted only if lambda >= 0,
+   they reproduce d4 on every orbit row, y gives p4 the value 1 and every
+   other column at least 0, and b^T y = alpha (:func:`check_optimality`,
+   which needs no basis).  By weak duality no feasible point has a larger
+   alpha, so optimality is proved, not taken on the float solver's word.
 
 If any step fails (float status not optimal, pivot cap hit, singular
 basis, a failed check), the same tableau code runs over Fraction as an
@@ -176,14 +175,6 @@ def build_program(basis: Sequence[tuple[str, Column]]) -> LpProblem:
     )
 
 
-def _independent_rows(rows: Sequence[tuple[Coeff, ...]], rhs: Sequence[Coeff]) -> list[int]:
-    # The indices, in order, of a maximal independent set of the rows
-    # [row | rhs].  Every dropped row is an exact combination of the kept
-    # ones, right-hand side included, so the kept rows have the same solutions.
-    _, _, sources, _ = gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)])
-    return sorted(sources)
-
-
 def _pivot(tableau: list[list[Num]], obj: list[Num], basis: list[int],
            row: int, col: int) -> None:
     pivot_row = tableau[row]
@@ -325,37 +316,38 @@ def _simplex(matrix: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff],
     return state, basis, pivots + done
 
 
-def _standard_form(problem: LpProblem, keep: list[int]
-                   ) -> tuple[list[list[Coeff]], list[Coeff], list[int]]:
-    # The kept rows over alpha+, alpha-, lambda_1..lambda_k, their
+def _standard_form(problem: LpProblem) -> tuple[list[list[Coeff]], list[Coeff], list[int]]:
+    # Every orbit row over alpha+, alpha-, lambda_1..lambda_k, its
     # right-hand side, and the cost vector of the objective alpha+ - alpha-.
-    matrix = [[row[0], -row[0], *row[1:]] for row in (problem.matrix[i] for i in keep)]
+    matrix = [[row[0], -row[0], *row[1:]] for row in problem.matrix]
     cost = [1, -1] + [0] * (len(problem.column_names) - 1)
-    return matrix, [problem.rhs[i] for i in keep], cost
+    return matrix, list(problem.rhs), cost
 
 
 def _basis_solution(matrix: list[list[Coeff]], rhs: list[Coeff], cost: list[int],
                     basis: list[int]) -> tuple[list[Fraction], list[Fraction]] | None:
-    """Exact primal x (zero off the basis) and dual y of a basis.
+    """Exact primal x (zero off the basis) and dual y of a basis, on every row.
 
-    Solves B x_B = b and B^T y = c_B over Fraction; None when the basis is
-    not a nonsingular square submatrix.
+    Solves B x_B = b and B^T y = c_B over Fraction; None when the basic
+    columns are dependent.  B need not be square, as phase 1 drops the rows
+    that went redundant.  y is 0 on rows without a pivot of B^T: when B
+    spans A and b, any y solving B^T y = c_B gives the same y A and b^T y.
     """
-    m = len(matrix)
-    if len(basis) != m:
-        return None
-    primal, pivots, _, _ = gauss_jordan(
-        [[row[j] for j in basis] + [b] for row, b in zip(matrix, rhs)], m
+    primal, pivots, _ = gauss_jordan(
+        [[row[j] for j in basis] + [b] for row, b in zip(matrix, rhs)], len(basis)
     )
-    if len(pivots) < m:
+    if len(pivots) < len(basis):
         return None
-    dual, _, _, _ = gauss_jordan(
-        [[row[j] for row in matrix] + [cost[j]] for j in basis], m
+    dual, pivot_rows, _ = gauss_jordan(
+        [[row[j] for row in matrix] + [cost[j]] for j in basis], len(matrix)
     )
     x = [Fraction(0)] * len(cost)
     for r, j in enumerate(basis):
         x[j] = primal[r][-1]
-    return x, [r[-1] for r in dual]
+    y = [Fraction(0)] * len(matrix)
+    for r, i in zip(dual, pivot_rows):
+        y[i] = r[-1]
+    return x, y
 
 
 def check_optimality(problem: LpProblem, alpha: Fraction, multipliers: dict[str, Fraction],
@@ -363,11 +355,16 @@ def check_optimality(problem: LpProblem, alpha: Fraction, multipliers: dict[str,
     """"verified" when y proves (alpha, multipliers) optimal, else the first failed condition.
 
     y is keyed by orbit-canonical monomial; a row it does not name weighs 0.
-    The multipliers must be nonnegative (alpha is free) and, with alpha,
-    reproduce d4 on every orbit row; y must give the alpha column (p4) 1
-    and every other column at least 0; and b^T y must equal alpha.  Weak
-    duality then bounds the alpha of every feasible point by b^T y.
+    The multipliers are keyed by column name; a column they do not name
+    takes 0, and a name that is not a column is refused.  They must be
+    nonnegative (alpha is free) and, with alpha, reproduce d4 on every
+    orbit row; y must give the alpha column (p4) 1 and every other column
+    at least 0; and b^T y must equal alpha.  Weak duality then bounds the
+    alpha of every feasible point by b^T y.
     """
+    unknown = sorted(set(multipliers).difference(problem.column_names[1:]))
+    if unknown:
+        return f"x has no column {unknown[0]!r}"
     if any(v < 0 for v in multipliers.values()):
         return "x has a negative entry"
     if not _reconstructs(problem, alpha, multipliers):
@@ -389,8 +386,7 @@ def solve(problem: LpProblem) -> LpSolution:
     Whichever pass found it, an optimal basis is reported only once its
     exact certificate is verified.
     """
-    keep = _independent_rows(problem.matrix, problem.rhs)
-    matrix, rhs, cost = _standard_form(problem, keep)
+    matrix, rhs, cost = _standard_form(problem)
 
     def check_basis(basis: list[int], origin: str
                     ) -> tuple[str, tuple[Fraction, dict[str, Fraction]] | None]:
@@ -399,8 +395,7 @@ def solve(problem: LpProblem) -> LpSolution:
             return f"{origin} basis is singular", None
         x, y = solved
         point = x[0] - x[1], dict(zip(problem.column_names[1:], x[2:]))
-        duals = {problem.monomials[i]: v for i, v in zip(keep, y)}
-        return check_optimality(problem, *point, duals), point
+        return check_optimality(problem, *point, dict(zip(problem.monomials, y))), point
 
     state, basis, float_pivots = _simplex(matrix, rhs, cost, exact=False)
     verdict = f"float pass ended {state}"
@@ -437,7 +432,7 @@ def _solution(status: str, point: tuple[Fraction, dict[str, Fraction]] | None, r
 
 def _reconstructs(problem: LpProblem, alpha: Fraction,
                   multipliers: dict[str, Fraction]) -> bool:
-    lam = [multipliers[name] for name in problem.column_names[1:]]
+    lam = [multipliers.get(name, 0) for name in problem.column_names[1:]]
     for row, b in zip(problem.matrix, problem.rhs):
         total = alpha * row[0]
         for v, l in zip(row[1:], lam):

@@ -39,20 +39,18 @@ def leibniz_det(matrix):
 def test_determinant_matches_leibniz(matrix, repeat_a_row):
     if repeat_a_row and len(matrix) > 1:
         matrix[-1] = list(matrix[0])
-    assert gauss_jordan(matrix)[3] == leibniz_det(matrix)
+    assert gauss_jordan(matrix)[2] == leibniz_det(matrix)
 
 
 @given(matrices())
 @settings(max_examples=80)
 def test_echelon_form_and_independent_sources(matrix):
-    rows, pivots, sources, _ = gauss_jordan(matrix)
-    assert len(rows) == len(pivots) == len(sources)
+    rows, pivots, _ = gauss_jordan(matrix)
+    assert len(rows) == len(pivots)
     assert pivots == sorted(set(pivots))
     for r, col in enumerate(pivots):
         assert [row[col] for row in rows] == [int(i == r) for i in range(len(rows))]
-    # the source rows alone have the same rank, and every row lies in the
-    # span of the echelon rows: reducing it leaves zero
-    assert len(gauss_jordan([matrix[i] for i in sources])[1]) == len(rows)
+    # every row lies in the span of the echelon rows: reducing it leaves zero
     for row in matrix:
         rest = [Fraction(v) for v in row]
         for echelon, col in zip(rows, pivots):
@@ -62,9 +60,9 @@ def test_echelon_form_and_independent_sources(matrix):
 
 
 def test_augmented_solve_leaves_the_rhs_unpivoted():
-    rows, pivots, _, _ = gauss_jordan([[2, 1, 5], [1, 3, 5]], ncols=2)
+    rows, pivots, _ = gauss_jordan([[2, 1, 5], [1, 3, 5]], ncols=2)
     assert pivots == [0, 1]
     assert [row[-1] for row in rows] == [2, 1]
     # an inconsistent system keeps rank 1 in the searched columns
-    _, pivots, _, _ = gauss_jordan([[1, 1, 1], [2, 2, 3]], ncols=2)
+    _, pivots, _ = gauss_jordan([[1, 1, 1], [2, 2, 3]], ncols=2)
     assert pivots == [0]

@@ -3,12 +3,15 @@
 The three full-size programs over the complete degree-6 column family run
 in the acceptance suite; here the solver is exercised on programs small
 enough to finish in milliseconds: the certified route, the exact fallback,
-the certificate checker and the row reduction.
+the certificate checker and the handling of redundant rows.
 """
 
 import functools
 import hashlib
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -87,12 +90,13 @@ def test_certificate_support_reproduces_the_best_bound():
 
 
 def _singular_float_pass(simplex):
-    # alpha+ and alpha- are opposite columns, so any basis holding both is
-    # singular.  Only the float pass is replaced; the exact one runs as is.
+    # alpha+ and alpha- (columns 0 and 1) are opposite columns, so any basis
+    # holding both is singular.  Only the float pass is replaced; the exact
+    # one runs as is.
     def patched(matrix, rhs, cost, exact=True):
         if exact:
             return simplex(matrix, rhs, cost)
-        return "optimal", list(range(len(matrix))), 0
+        return "optimal", [0, 1], 0
     return patched
 
 
@@ -138,11 +142,11 @@ def degenerate_programs(draw):
     )
 
 
-def _certificate(problem, keep, solved):
+def _certificate(problem, solved):
     """(alpha, multipliers, y) of a ``_basis_solution`` result, as solve checks it."""
     x, y = solved
     multipliers = dict(zip(problem.column_names[1:], x[2:]))
-    return x[0] - x[1], multipliers, {problem.monomials[i]: v for i, v in zip(keep, y)}
+    return x[0] - x[1], multipliers, dict(zip(problem.monomials, y))
 
 
 @given(degenerate_programs())
@@ -150,15 +154,13 @@ def _certificate(problem, keep, solved):
 def test_exact_simplex_ends_in_a_correct_verdict(problem):
     # Bland's rule alone must terminate, and every "optimal" it reports
     # must come with a basis whose exact certificate checks.
-    keep = lp._independent_rows(problem.matrix, problem.rhs)
-    assume(keep)
-    matrix, rhs, cost = lp._standard_form(problem, keep)
+    matrix, rhs, cost = lp._standard_form(problem)
     state, basis, _ = lp._simplex(matrix, rhs, cost)
     assert state in ("optimal", "infeasible", "unbounded")
     if state == "optimal":
         solved = lp._basis_solution(matrix, rhs, cost, basis)
         assert solved is not None
-        assert lp.check_optimality(problem, *_certificate(problem, keep, solved)) == "verified"
+        assert lp.check_optimality(problem, *_certificate(problem, solved)) == "verified"
 
 
 @given(degenerate_programs())
@@ -166,9 +168,7 @@ def test_exact_simplex_ends_in_a_correct_verdict(problem):
 def test_solve_agrees_with_the_exact_simplex(problem):
     # Whatever route solve takes, its verdict is the exact simplex's, and a
     # certified result carries a verified certificate.
-    keep = lp._independent_rows(problem.matrix, problem.rhs)
-    assume(keep)
-    matrix, rhs, cost = lp._standard_form(problem, keep)
+    matrix, rhs, cost = lp._standard_form(problem)
     state, basis, _ = lp._simplex(matrix, rhs, cost)
     objective = None
     if state == "optimal":
@@ -184,33 +184,66 @@ def test_solve_agrees_with_the_exact_simplex(problem):
 @pytest.fixture(scope="module")
 def sec3_certificate():
     problem = build_program(sec3_basis())
-    keep = lp._independent_rows(problem.matrix, problem.rhs)
-    matrix, rhs, cost = lp._standard_form(problem, keep)
+    matrix, rhs, cost = lp._standard_form(problem)
     state, basis, _ = lp._simplex(matrix, rhs, cost, exact=False)
     assert state == "optimal"
-    certificate = _certificate(problem, keep, lp._basis_solution(matrix, rhs, cost, basis))
+    certificate = _certificate(problem, lp._basis_solution(matrix, rhs, cost, basis))
     assert lp.check_optimality(problem, *certificate) == "verified"
     return problem, *certificate
+
+
+def _augmented_columns(problem):
+    """The columns of [A | b]: one per program column, then the right-hand side."""
+    return [*zip(*problem.matrix), problem.rhs]
+
+
+def _left_null_space(problem):
+    """A basis of the deltas, one entry per orbit row, with delta^T [A | b] = 0."""
+    echelon, pivots, _ = gauss_jordan(_augmented_columns(problem))
+    rows = len(problem.monomials)
+    basis = []
+    for free in sorted(set(range(rows)) - set(pivots)):
+        delta = [Fraction(0)] * rows
+        delta[free] = Fraction(1)
+        for row, pivot in zip(echelon, pivots):
+            delta[pivot] = -row[free]
+        basis.append(delta)
+    return basis
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_dual_checker_rejects_any_perturbed_y(sec3_certificate, data):
     # Every multiplier of this vertex is positive, so a valid y must give
-    # every column but alpha the value 0; over the kept rows, which are
-    # independent, that leaves one y.
+    # every column but alpha the value 0, alpha the value 1, and b^T y the
+    # value alpha.  y is not unique: the sec3 program has 30 orbit rows of
+    # rank 10, and a delta with delta^T [A | b] = 0 changes none of those
+    # values.  So a delta that moves some y . A_j or b^T y is rejected, and
+    # a nonzero delta from the left null space of [A | b] is accepted.
     problem, alpha, multipliers, y = sec3_certificate
     assert all(v > 0 for v in multipliers.values())
-    rhs = [problem.rhs[problem.monomials.index(mono)] for mono in y]
+    rows = len(problem.monomials)
     delta = data.draw(st.lists(st.fractions(max_denominator=10**6),
-                               min_size=len(y), max_size=len(y)))
+                               min_size=rows, max_size=rows))
     if data.draw(st.booleans()):
         # keep b^T y unchanged, so that only the column values can object
-        pivot = next(i for i, b in enumerate(rhs) if b)
-        delta[pivot] -= sum(b * d for b, d in zip(rhs, delta)) / rhs[pivot]
-    assume(any(delta))
-    moved = {mono: v + d for (mono, v), d in zip(y.items(), delta)}
+        pivot = next(i for i, b in enumerate(problem.rhs) if b)
+        delta[pivot] -= sum(b * d for b, d in zip(problem.rhs, delta)) / problem.rhs[pivot]
+    columns = _augmented_columns(problem)
+    assume(any(sum(d * v for d, v in zip(delta, column)) for column in columns))
+    moved = {mono: y[mono] + d for mono, d in zip(problem.monomials, delta)}
     assert lp.check_optimality(problem, alpha, multipliers, moved) != "verified"
+
+    null_space = _left_null_space(problem)
+    assert len(null_space) == rows - 10
+    weights = data.draw(st.lists(st.fractions(max_denominator=10**6),
+                                 min_size=len(null_space), max_size=len(null_space)))
+    assume(any(weights))
+    shift = [sum(w * v[i] for w, v in zip(weights, null_space)) for i in range(rows)]
+    assert all(sum(d * v for d, v in zip(shift, column)) == 0 for column in columns)
+    moved = {mono: y[mono] + d for mono, d in zip(problem.monomials, shift)}
+    assert moved != y
+    assert lp.check_optimality(problem, alpha, multipliers, moved) == "verified"
 
 
 @given(st.data())
@@ -234,10 +267,8 @@ def test_dual_checker_rejects_a_feasible_point_below_the_optimum():
     assert lp.check_optimality(problem, 1, {"f": 1}, {row: 1}) == "b^T y differs from alpha"
 
 
-@pytest.mark.parametrize("basis", [gap_basis, sec3_basis], ids=["gap", "sec3"])
-def test_certificate_from_solve_checks_without_the_solver(basis, monkeypatch):
-    # The (alpha, multipliers, y) that solve certifies prove the optimum on
-    # a freshly built program, with no simplex state.
+def _solve_recording_checks(problem, monkeypatch):
+    """solve(problem), and the (alpha, multipliers, y) of each certificate check it made."""
     seen = []
     check = lp.check_optimality
 
@@ -246,9 +277,17 @@ def test_certificate_from_solve_checks_without_the_solver(basis, monkeypatch):
         return check(problem, alpha, multipliers, y)
 
     monkeypatch.setattr(lp, "check_optimality", spy)
-    solution = solve(build_program(basis()))
+    solution = solve(problem)
     monkeypatch.undo()
-    [(alpha, multipliers, y)] = seen
+    return solution, seen
+
+
+@pytest.mark.parametrize("basis", [gap_basis, sec3_basis], ids=["gap", "sec3"])
+def test_certificate_from_solve_checks_without_the_solver(basis, monkeypatch):
+    # The (alpha, multipliers, y) that solve certifies prove the optimum on
+    # a freshly built program, with no simplex state.
+    solution, [(alpha, multipliers, y)] = _solve_recording_checks(build_program(basis()),
+                                                                  monkeypatch)
     assert solution.route == "certified"
     assert (alpha, multipliers) == (solution.objective, solution.multipliers)
     fresh = build_program(basis())
@@ -259,6 +298,29 @@ def test_certificate_from_solve_checks_without_the_solver(basis, monkeypatch):
     assert p4_row in y
     dropped = {mono: v for mono, v in y.items() if mono != p4_row}
     assert lp.check_optimality(fresh, alpha, multipliers, dropped) != "verified"
+
+
+def test_solve_weighs_every_orbit_row(monkeypatch):
+    # The gap program has 17 orbit rows of rank 2.  No row is dropped before
+    # the solve, so the certificate's y names all 17, not an independent 2.
+    problem = build_program(gap_basis())
+    assert len(problem.monomials) == 17
+    assert len(gauss_jordan(_augmented_columns(problem))[1]) == 2
+    solution, [(_, _, y)] = _solve_recording_checks(problem, monkeypatch)
+    assert solution.route == "certified"
+    assert set(y) == set(problem.monomials)
+
+
+def test_checker_reads_a_missing_multiplier_as_zero_and_refuses_an_unknown_one(monkeypatch):
+    # A certificate that stores only its support leaves the other columns out.
+    problem = build_program([*gap_basis(), ("z4", catalog.z4())])
+    assert lp.check_optimality(problem, 64, {"gap": 1}, {}) == "column alpha has y value 0"
+    solution, seen = _solve_recording_checks(problem, monkeypatch)
+    assert solution.objective == 64 and solution.certificate == "verified"
+    y = seen[-1][2]
+    assert lp.check_optimality(problem, 64, {"gap": 1}, y) == "verified"
+    verdict = lp.check_optimality(problem, 64, {"gap": 1, "nope": 1}, y)
+    assert verdict == "x has no column 'nope'"
 
 
 def test_build_program_rejects_duplicate_names():
@@ -403,7 +465,7 @@ def test_program_rows_are_deduplicated():
     # One row per orbit: no orbit appears twice and every monomial of d4,
     # p4 and the column has its orbit's row.  Distinct orbits may still
     # share a row's content (here 17 orbit rows carry 7 distinct contents);
-    # the row reduction drops those.
+    # phase 1 of the simplex drops the rows that go redundant.
     gap = catalog.d4() - 64 * catalog.p4()
     problem = build_program([("gap", gap)])
     rows, rhs = problem.matrix, problem.rhs
@@ -411,22 +473,6 @@ def test_program_rows_are_deduplicated():
     support = set(catalog.d4().terms) | set(catalog.p4().terms) | set(gap.terms)
     assert {orbit_canonical(mono) for mono in support} == set(problem.monomials)
     assert len(rows) < len(support)
-    keep = lp._independent_rows(rows, rhs)
-    kept, kept_rhs = [rows[i] for i in keep], [rhs[i] for i in keep]
-    assert len({tuple(r) + (v,) for r, v in zip(kept, kept_rhs)}) == len(kept)
-
-
-def test_row_reduction_keeps_an_independent_spanning_set():
-    # rows [p4 | gap | d4] with d4 = 64 p4 + gap: rank 2 however many rows
-    problem = build_program([("gap", catalog.d4() - 64 * catalog.p4())])
-    rows, rhs = problem.matrix, problem.rhs
-    keep = lp._independent_rows(rows, rhs)
-    kept, kept_rhs = [rows[i] for i in keep], [rhs[i] for i in keep]
-    assert len(kept) == 2 < len(rows)
-    assert all(row in rows for row in kept)
-    full = [list(row) + [b] for row, b in zip(rows, rhs)]
-    assert len(gauss_jordan(full)[1]) == len(gauss_jordan(
-        [list(row) + [b] for row, b in zip(kept, kept_rhs)])[1])
 
 
 #: sha256 over repr((monomials, column_names, matrix, rhs)) of the three full
@@ -450,6 +496,37 @@ def test_full_programs_are_pinned(extras):
     problem = full_program(extras)
     text = repr((problem.monomials, problem.column_names, problem.matrix, problem.rhs))
     assert hashlib.sha256(text.encode()).hexdigest() == PROGRAM_DIGESTS[extras]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@functools.cache
+def _benchmark_workloads():
+    # The benchmark's workload module, loaded read-only; its dataclasses
+    # need the module registered while it runs.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("extras", list(PROGRAM_DIGESTS))
+def test_cut_programs_certify_on_the_float_route(extras):
+    # The benchmark's cut programs have 32 orbit rows of rank 31, so phase 1
+    # of the float pass drops one row, not necessarily the one an exact
+    # reduction would pick.  The basis solve runs over all 32 rows and needs
+    # only independent basic columns, so the float basis still certifies.
+    problem = build_program(_benchmark_workloads()._restricted(standard_basis(extras)))
+    assert len(problem.monomials) == 32
+    assert len(gauss_jordan(_augmented_columns(problem))[1]) == 31
+    solution = solve(problem)
+    assert solution.route == "certified" and solution.exact_pivots == 0
+    assert solution.objective == {0: 32, 2: 60, 3: Fraction(188, 3)}[len(extras)]
 
 
 @pytest.mark.parametrize("extras", list(PROGRAM_DIGESTS))

@@ -2,8 +2,9 @@
 
 Every public top-level function and class must be loaded somewhere in the
 package outside its own definition, or be hooked by the benchmark tracer
-(``perfbench/spans.py``), or be pinned below with the reason it stays.  A
-helper only tests call belongs in the test file that uses it.
+(``perfbench/spans.py``), or be pinned below with the reason it stays.
+Every private one must be loaded somewhere in the package, with no
+exceptions.  A helper only tests call belongs in the test file that uses it.
 """
 
 import ast
@@ -27,9 +28,9 @@ KEPT_UNUSED = {
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _public_and_loaded() -> tuple[set[str], set[str]]:
-    """Public top-level names, and every name loaded outside its own definition."""
-    public: set[str] = set()
+def _defined_and_loaded() -> tuple[set[str], set[str]]:
+    """Top-level function and class names, and every name loaded outside its own definition."""
+    defined: set[str] = set()
     loaded: set[str] = set()
 
     def visit(node: ast.AST, owner: str | None) -> None:
@@ -47,10 +48,10 @@ def _public_and_loaded() -> tuple[set[str], set[str]]:
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = node.name if isinstance(node, _DEFINITIONS) else None
-            if owner is not None and not owner.startswith("_"):
-                public.add(owner)
+            if owner is not None:
+                defined.add(owner)
             visit(node, owner)
-    return public, loaded
+    return defined, loaded
 
 
 def _hooked() -> set[str]:
@@ -69,6 +70,14 @@ def _hooked() -> set[str]:
 
 
 def test_every_public_name_is_run_hooked_or_pinned():
-    public, loaded = _public_and_loaded()
+    defined, loaded = _defined_and_loaded()
+    public = {name for name in defined if not name.startswith("_")}
     assert public - loaded - _hooked() == set(KEPT_UNUSED)
+
+
+def test_every_private_name_is_run():
+    defined, loaded = _defined_and_loaded()
+    private = {name for name in defined if name.startswith("_")}
+    assert private
+    assert private - loaded == set()
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import catalog
 from .linalg import gauss_jordan
-from .polyring import float_evaluator, normalize_coeff
+from .polyring import EDGES, float_evaluator, normalize_coeff
 
 Point3 = tuple[float, float, float]
 Spinor = tuple[complex, complex]
@@ -37,6 +37,14 @@ SEPARATION_FLOOR = 1e-2
 #: Degenerate sampling modes place points within this distance of the
 #: named degeneracy, and never exactly on it.
 DEGENERACY_OFFSET = 1e-3
+
+#: Relative slack ``is_geometric_candidate`` allows rounded input in the
+#: triangle inequalities and the volume test.
+GEOMETRIC_TOL = 1e-9
+
+#: Conditioning floor of ``geometric_distance_samples``, relative to the
+#: sixth power of the mean distance.
+VOLUME_FLOOR = 1e-3
 
 MODES = ("generic", "near-planar", "near-collinear", "near-coincident")
 
@@ -165,19 +173,10 @@ def _det_complex(matrix: list[list[complex]]) -> complex:
     return det
 
 
-@dataclass(frozen=True)
-class AtiyahResult:
-    """Determinant value and the number of points it was taken over."""
-
-    value: complex
-    n: int
-
-
 def atiyah_det(
     points: Sequence[Point3], pair_phases: Sequence[complex] | None = None
-) -> AtiyahResult:
-    matrix = atiyah_matrix(points, pair_phases)
-    return AtiyahResult(value=_det_complex(matrix), n=len(points))
+) -> complex:
+    return _det_complex(atiyah_matrix(points, pair_phases))
 
 
 def _min_separation(points: Sequence[Point3]) -> float:
@@ -187,18 +186,12 @@ def _min_separation(points: Sequence[Point3]) -> float:
 def distance_vector(a_pt, b_pt, c_pt, d_pt):
     """Six pairwise distances (a, b, c, x, y, z) of four labeled points.
 
-    The labeling: a = |AD|, b = |BD|, c = |CD|, x = |AB|, y = |BC|,
-    z = |AC|.  Degenerate inputs are allowed; zeros simply show up in the
-    vector.
+    Slot k is the distance between the two points ``EDGES[k]`` joins:
+    a = |AD|, b = |BD|, c = |CD|, x = |AB|, y = |BC|, z = |AC|.
+    Degenerate inputs are allowed; zeros simply show up in the vector.
     """
-    return (
-        math.dist(a_pt, d_pt),
-        math.dist(b_pt, d_pt),
-        math.dist(c_pt, d_pt),
-        math.dist(a_pt, b_pt),
-        math.dist(b_pt, c_pt),
-        math.dist(a_pt, c_pt),
-    )
+    points = (a_pt, b_pt, c_pt, d_pt)
+    return tuple(math.dist(points[p], points[q]) for p, q in EDGES)
 
 
 def triangle_slacks(u):
@@ -214,36 +207,33 @@ def cayley_menger_det(u):
     """
     if len(u) != 6:
         raise ValueError("expected six distances")
-    a, b, c, x, y, z = u
-    a2, b2, c2, x2, y2, z2 = (v * v for v in (a, b, c, x, y, z))
-    matrix = [
-        [0, 1, 1, 1, 1],
-        [1, 0, x2, z2, a2],
-        [1, x2, 0, y2, b2],
-        [1, z2, y2, 0, c2],
-        [1, a2, b2, c2, 0],
-    ]
+    # Row and column 1 + p belong to point p; the squared distance of each
+    # edge sits at both of its off-diagonal places.
+    matrix = [[0, 1, 1, 1, 1]] + [[1, 0, 0, 0, 0] for _ in range(4)]
+    for (p, q), v in zip(EDGES, u):
+        matrix[1 + p][1 + q] = matrix[1 + q][1 + p] = v * v
     if all(isinstance(v, (int, Fraction)) for v in u):
         return normalize_coeff(gauss_jordan(matrix)[2])
     return _det_complex([[complex(float(e)) for e in row] for row in matrix]).real
 
 
-def is_geometric_candidate(u, tol: float = 1e-9) -> bool:
+def is_geometric_candidate(u) -> bool:
     """True when u passes every triangle inequality and the volume test.
 
-    All twelve triangular variables must be nonnegative (up to tol
-    relative slack for rounded input) and the Cayley-Menger determinant
-    must be >= -tol relative to the natural sixth-power scale.
+    All twelve triangular variables must be nonnegative (up to
+    GEOMETRIC_TOL relative slack for rounded input) and the Cayley-Menger
+    determinant must be >= -GEOMETRIC_TOL relative to the natural
+    sixth-power scale.
     """
     if len(u) != 6 or any(v < 0 for v in u):
         return False
     scale = float(max(u))
     if scale == 0.0:
         return True
-    slack = -tol * scale
+    slack = -GEOMETRIC_TOL * scale
     if any(t < slack for t in triangle_slacks(u)):
         return False
-    return cayley_menger_det(u) >= -tol * scale**6
+    return cayley_menger_det(u) >= -GEOMETRIC_TOL * scale**6
 
 
 def volume_squared_scaled(u):
@@ -368,13 +358,11 @@ def _unit_direction(rng: random.Random) -> Point3:
             return (v[0] / norm, v[1] / norm, v[2] / norm)
 
 
-def geometric_distance_samples(
-    count: int, seed: int = 0, volume_floor: float = 1e-3
-) -> list[tuple[float, ...]]:
+def geometric_distance_samples(count: int, seed: int = 0) -> list[tuple[float, ...]]:
     """Distance vectors of random tetrahedra with a conditioning floor.
 
     Generic configurations are rejected when 144 V^2 falls below
-    ``volume_floor`` times the sixth power of the mean distance; below
+    VOLUME_FLOOR times the sixth power of the mean distance; below
     that, the volume is dominated by rounding noise and relative
     comparisons between the exact catalog and the Cayley-Menger route
     stop being meaningful.  The floor rejects a few percent of samples.
@@ -386,7 +374,7 @@ def geometric_distance_samples(
         index += 1
         u = distance_vector(*points)
         mean = sum(u) / 6
-        if volume_squared_scaled(u) < volume_floor * mean**6:
+        if volume_squared_scaled(u) < VOLUME_FLOOR * mean**6:
             continue
         vectors.append(u)
     return vectors
@@ -513,7 +501,7 @@ def run_samples(
             degenerate += 1
             continue
         checked += 1
-        at = atiyah_det(points).value
+        at = atiyah_det(points)
         magnitude = abs(at)
 
         pair_margin = magnitude / max(_pairwise_product(points), _TINY)

@@ -167,15 +167,16 @@ def _vectors34_check() -> dict:
     vectors = atiyah.special_vectors()
     flat_count = atiyah.SPECIAL_FLAT_COUNT
 
-    tight = sum(1 for u in vectors if d4.evaluate(u) == 64 * p4.evaluate(u))
+    d4_at = {u: d4.evaluate(u) for u in vectors}
+    p4_at = {u: p4.evaluate(u) for u in vectors}
+    tight = sum(1 for u in vectors if d4_at[u] == 64 * p4_at[u])
     z_vanishes = all(z4.evaluate(u) == 0 for u in vectors)
     v_vanishes = all(v4.evaluate(u) == 0 for u in vectors)
-    flat = all(
-        d4.evaluate(u) == 0 and p4.evaluate(u) == 0 for u in vectors[:flat_count]
-    )
-    nonflat = all(d4.evaluate(u) != 0 for u in vectors[flat_count:])
+    flat = all(d4_at[u] == 0 and p4_at[u] == 0 for u in vectors[:flat_count])
+    nonflat = all(d4_at[u] != 0 for u in vectors[flat_count:])
     n4_alive = any(n4.evaluate(u) != 0 for u in vectors)
-    printed = d4.evaluate((9, 8, 1, 1, 7, 8))
+    printed = d4_at.get(lp.WITNESS)  # the witness is one of the 21 vectors
+    witness = ",".join(map(str, lp.WITNESS))
     geometric = all(atiyah.is_geometric_candidate(u) for u in vectors)
 
     ok = (
@@ -190,7 +191,7 @@ def _vectors34_check() -> dict:
     )
     detail = (
         f"{tight}/{len(vectors)} satisfy d4 = 64 p4; z4 and v4 vanish on all; "
-        f"first {flat_count} have d4 = p4 = 0; d4(9,8,1,1,7,8) = {printed}"
+        f"first {flat_count} have d4 = p4 = 0; d4({witness}) = {printed}"
     )
     return _check_entry(
         "vectors34", "pass" if ok else "fail", time.perf_counter() - started, detail

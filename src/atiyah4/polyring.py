@@ -38,6 +38,9 @@ EXACT_TYPES = (int, Fraction)
 
 N_VARS = 6
 VAR_NAMES = ("a", "b", "c", "x", "y", "z")
+#: The pair of labelled points (A, B, C, D = 0..3) each variable joins, in
+#: VAR_NAMES order: a = |AD|, b = |BD|, c = |CD|, x = |AB|, y = |BC|, z = |AC|.
+EDGES = ((0, 3), (1, 3), (2, 3), (0, 1), (1, 2), (0, 2))
 _VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
 _ZERO_MONO: Mono = (0, 0, 0, 0, 0, 0)
 

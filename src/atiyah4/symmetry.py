@@ -1,17 +1,21 @@
 """The permutation action of relabelling the four points.
 
 Relabelling the four points permutes the six pairwise distances
-(a, b, c, x, y, z).  The 24 resulting distance permutations are tabulated
-below, together with a sign for each row; a polynomial is *symmetric* when
-every row fixes it and *skew-symmetric* when row i multiplies it by the
-row's sign.
+(a, b, c, x, y, z), whose edges are ``polyring.EDGES``.  The 24 rows are
+derived from the 24 orderings sigma of the points, in
+``itertools.permutations(range(4))`` order, the identity first: the row
+of sigma sends the slot of the edge {p, q} to the slot of the edge
+{sigma(p), sigma(q)}.  A row acts as the relabelling itself, not its
+inverse: if u holds the distances of points P0..P3, then
+``permute_tuple(u, i)`` holds the distances of P[sigma(0)]..P[sigma(3)].
+(The inverses give the same 24 rows in another order.)
 
-The signs are table data, not the parity of the 6-letter permutation: a
-transposition of two points is odd even though the induced permutation of
-the six distances can be even.  ``self_test`` re-derives the group
-structure (closure, inverses, sign homomorphism) from the table itself, so
-a transcription slip in either the rows or the signs cannot survive the
-test suite.
+Each row's sign is the parity of its sigma.  Re At = d4 is fixed by every
+relabelling and Im At changes sign under an odd one, so a polynomial is
+*symmetric* when every row fixes it and *skew-symmetric* when each row
+multiplies it by the row's sign, as w4 and v4 do.  ``self_test`` checks
+the group structure of the derived rows (closure, inverses, sign
+homomorphism).
 
 ``OrbitTable`` is the one place orbit canonical forms are computed, for
 the six distance exponents here and for the twelve triangular-variable
@@ -23,51 +27,29 @@ coefficients on the orbit-canonical monomials (Gatermann & Parrilo,
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from .polyring import Coeff, Mono, N_VARS, Poly, normalize_coeff
+from .polyring import EDGES, Coeff, Mono, N_VARS, Poly, normalize_coeff
 
 _T = TypeVar("_T")
 
-# Row i lists which distance lands in each slot after the i-th relabelling
-# of the points; slot order is (a, b, c, x, y, z).
-_ROW_SPEC = (
-    "a b c x y z",
-    "a x z b y c",
-    "b c a y z x",
-    "x b y a c z",
-    "c a b z x y",
-    "z y c x b a",
-    "y z c x a b",
-    "c b a y x z",
-    "x y b z c a",
-    "a c b z y x",
-    "z x a y b c",
-    "b a c x z y",
-    "z c y a b x",
-    "x z a y c b",
-    "x a z b c y",
-    "y x b z a c",
-    "y b x c a z",
-    "y c z b a x",
-    "c y z b x a",
-    "z a x c b y",
-    "b x y a z c",
-    "c z y a x b",
-    "a z x c y b",
-    "b y x c z a",
-)
+_SLOT_OF_EDGE = {frozenset(edge): k for k, edge in enumerate(EDGES)}
+_RELABELLINGS = tuple(permutations(range(4)))
 
-_NAME_TO_INDEX = {"a": 0, "b": 1, "c": 2, "x": 3, "y": 4, "z": 5}
-
-#: ROWS[i][k] = index of the variable occupying slot k in row i.
+#: ROWS[i][k] = index of the variable occupying slot k after the i-th
+#: relabelling sigma: the edge {sigma(p), sigma(q)} for slot k's edge {p, q}.
 ROWS: tuple[tuple[int, ...], ...] = tuple(
-    tuple(_NAME_TO_INDEX[name] for name in spec.split()) for spec in _ROW_SPEC
+    tuple(_SLOT_OF_EDGE[frozenset((sigma[p], sigma[q]))] for p, q in EDGES)
+    for sigma in _RELABELLINGS
 )
 
-#: Sign attached to row i: +1 for even i, -1 for odd i.
-SIGNS: tuple[int, ...] = tuple(1 if i % 2 == 0 else -1 for i in range(24))
+#: Sign of row i: the parity of its relabelling sigma.  EDGES lists each
+#: pair p < q once, so its inversions are the edges sigma puts out of order.
+SIGNS: tuple[int, ...] = tuple(
+    (-1) ** sum(sigma[p] > sigma[q] for p, q in EDGES) for sigma in _RELABELLINGS
+)
 
 GROUP_ORDER = 24
 

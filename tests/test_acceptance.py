@@ -159,7 +159,7 @@ def test_criterion_8_construction_sanity():
     for i in range(500):
         points = atiyah.sample_config(2, SEED * 1_000_003 + i, "generic")
         reference = 2 * math.dist(points[0], points[1])
-        value = atiyah.atiyah_det(points).value
+        value = atiyah.atiyah_det(points)
         worst_pair = max(worst_pair, abs(value - reference) / reference)
 
     worst_tri = 0.0
@@ -169,12 +169,12 @@ def test_criterion_8_construction_sanity():
         sy = math.dist(points[1], points[2])
         sz = math.dist(points[0], points[2])
         reference = 8 * sx * sy * sz + atiyah._d3_float(sx, sy, sz)
-        value = atiyah.atiyah_det(points).value
+        value = atiyah.atiyah_det(points)
         worst_tri = max(worst_tri, abs(value - reference) / abs(reference))
 
     s = 1 / math.sqrt(8)
     tetra = [(s, s, s), (s, -s, -s), (-s, s, -s), (-s, -s, s)]
-    tetra_dev = abs(atiyah.atiyah_det(tetra).value - 100) / 100
+    tetra_dev = abs(atiyah.atiyah_det(tetra) - 100) / 100
 
     ok = worst_pair <= 1e-12 and worst_tri <= 1e-9 and tetra_dev <= 1e-9
     record(

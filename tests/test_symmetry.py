@@ -1,6 +1,9 @@
 """Group structure of the 24 induced distance permutations and averaging."""
 
+import math
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -65,9 +68,11 @@ def test_rows_are_distinct_permutations():
         assert sorted(row) == [0, 1, 2, 3, 4, 5]
 
 
-def test_identity_row_and_signs():
+def test_identity_row_and_signs(relabelling_row):
     assert ROWS[0] == (0, 1, 2, 3, 4, 5)
-    assert all(SIGNS[i] == (-1) ** i for i in range(24))
+    assert relabelling_row("ABCD") == 0
+    swaps = ["BACD", "CBAD", "DBCA", "ACBD", "ADCB", "ABDC"]
+    assert all(SIGNS[relabelling_row(swap)] == -1 for swap in swaps)
     assert sum(1 for s in SIGNS if s == 1) == 12
 
 
@@ -84,10 +89,47 @@ def test_sign_homomorphism():
             assert SIGNS[compose(i, j)] == SIGNS[i] * SIGNS[j]
 
 
-def test_swapping_second_and_third_labels_is_row_nine():
+def test_swapping_second_and_third_labels_is_an_odd_row(relabelling_row):
     u = (1, 2, 3, 4, 5, 6)
-    assert permute_tuple(u, 9) == (1, 3, 2, 6, 5, 4)
-    assert SIGNS[9] == -1
+    row = relabelling_row("ACBD")
+    assert permute_tuple(u, row) == (1, 3, 2, 6, 5, 4)
+    assert SIGNS[row] == -1
+
+
+def _distances(A, B, C, D):
+    """(a, b, c, x, y, z) of the labelled points A, B, C, D, pair by pair."""
+    return (
+        math.dist(A, D), math.dist(B, D), math.dist(C, D),
+        math.dist(A, B), math.dist(B, C), math.dist(A, C),
+    )
+
+
+def _parity(sigma):
+    """+1 or -1 as sigma has an even or odd number of even-length cycles."""
+    sign, seen = 1, set()
+    for start in range(len(sigma)):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            k = sigma[k]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_row_i_is_the_ith_relabelling_of_the_points():
+    # Row i belongs to the i-th ordering sigma in permutations order: the
+    # relabelled tetrahedron's point t is the old point sigma[t].
+    rng = random.Random(18)
+    points = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(4)]
+    u = _distances(*points)
+    assert len(set(u)) == 6  # distinct distances, so each row is pinned down
+    orderings = list(permutations(range(4)))
+    assert len(orderings) == GROUP_ORDER
+    for i, sigma in enumerate(orderings):
+        assert permute_tuple(u, i) == _distances(*(points[t] for t in sigma))
+        assert SIGNS[i] == _parity(sigma)
 
 
 @given(monos, row_indices, row_indices)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import catalog
 from .linalg import gauss_jordan
-from .polyring import EDGES, float_evaluator, normalize_coeff
+from .polyring import EDGES, FACES, float_evaluator, normalize_coeff
 
 Point3 = tuple[float, float, float]
 Spinor = tuple[complex, complex]
@@ -396,9 +396,10 @@ def _d3_float(p: float, q: float, r: float) -> float:
 
 def _face_product(u) -> float:
     """Product of the four 3-point determinants, from the factored form."""
-    a, b, c, x, y, z = (float(v) for v in u)
+    u = [float(v) for v in u]
     total = 1.0
-    for p, q, r in ((x, y, z), (x, b, a), (y, c, b), (z, c, a)):
+    for i, j, k in FACES:
+        p, q, r = u[i], u[j], u[k]
         total *= 8.0 * p * q * r + _d3_float(p, q, r)
     return total
 

@@ -20,6 +20,7 @@ All constructions are cached; treat every returned Poly as immutable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
@@ -126,11 +127,9 @@ def m4() -> Poly:
 @cache
 def big_p4() -> Poly:
     """Product of the four 3-point determinants, one per face."""
-    return (
-        (8 * X * Y * Z + d3())
-        * (8 * A * B * X + triple_factor(A, B, X))
-        * (8 * A * C * Z + triple_factor(A, C, Z))
-        * (8 * B * C * Y + triple_factor(B, C, Y))
+    v = polyring.variables()
+    return math.prod(
+        8 * v[i] * v[j] * v[k] + triple_factor(v[i], v[j], v[k]) for i, j, k in polyring.FACES
     )
 
 
@@ -176,23 +175,14 @@ def named_polynomials() -> dict[str, Poly]:
 def triangular_basis() -> tuple[Poly, ...]:
     """The twelve triangle-inequality slacks, in their standard order.
 
-    Slots 1-3 belong to the face with sides (a, b, x), slots 4-6 to
-    (b, c, y), slots 7-9 to (a, c, z) and slots 10-12 to (x, y, z); inside
-    a face the minus sign visits the sides in that face's fixed order.
+    Three slots per face of ``polyring.FACES``: (a, b, x), (b, c, y),
+    (a, c, z), then (x, y, z).  Inside a face, the slack that negates a
+    side is the sum of the face's sides minus twice that side, taken in
+    the face's order.
     """
-    return (
-        -A + B + X,
-        A - B + X,
-        A + B - X,
-        -B + C + Y,
-        B - C + Y,
-        B + C - Y,
-        -A + C + Z,
-        A - C + Z,
-        A + C - Z,
-        -X + Y + Z,
-        X - Y + Z,
-        X + Y - Z,
+    v = polyring.variables()
+    return tuple(
+        v[i] + v[j] + v[k] - 2 * v[negated] for i, j, k in polyring.FACES for negated in (i, j, k)
     )
 
 

@@ -294,7 +294,7 @@ def cmd_lp(args) -> dict:
         )
 
     started = time.perf_counter()
-    ceiling = lp.upper_bound_check(basis)
+    ceiling = lp.upper_bound_check(problem)
     c_elapsed = time.perf_counter() - started
     c_ok = ceiling.applicable and ceiling.bound == 64
     c_detail = (

@@ -38,6 +38,11 @@ An optimal basis from this fallback goes through the same certificate
 always means a verified certificate.  "infeasible" and "unbounded" only
 ever come from the exact path and carry no certificate (a Farkas
 certificate for them is out of scope).
+
+The ceiling 64 that no program of this shape can pass is the second use
+of the same dual check (:func:`upper_bound_check`): y comes from the
+witness vector, not from a basis, and the columns it gives a negative
+value void the bound.
 """
 
 from __future__ import annotations
@@ -369,15 +374,35 @@ def check_optimality(problem: LpProblem, alpha: Fraction, multipliers: dict[str,
         return "x has a negative entry"
     if not _reconstructs(problem, alpha, multipliers):
         return "x does not reproduce d4"
-    rows = zip(problem.monomials, problem.matrix, problem.rhs)
-    weighted = [(y[mono], row, b) for mono, row, b in rows if y.get(mono)]
-    for j, name in enumerate(problem.column_names):
-        value = sum(w * row[j] for w, row, _ in weighted if row[j])
+    values, objective = _dual_values(problem, y)
+    for j, (name, value) in enumerate(zip(problem.column_names, values)):
         if value < 0 or (j == 0 and value != 1):
             return f"column {name} has y value {value}"
-    if sum(w * b for w, _, b in weighted) != alpha:
+    if objective != alpha:
         return "b^T y differs from alpha"
     return "verified"
+
+
+def _dual_values(problem: LpProblem, y: dict[Mono, Coeff]) -> tuple[list[Fraction], Fraction]:
+    """The value y (keyed as in :func:`check_optimality`) gives each column, and b^T y."""
+    # Exact, but in ints: y is brought to one denominator, and each sum adds
+    # weight * numerator into one int per entry denominator (a column has
+    # few; averages divide by orbit sizes), then forms one Fraction for each.
+    weights = [y.get(mono, 0) for mono in problem.monomials]
+    denominator = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (denominator // w.denominator) for w in weights]
+
+    def dot(entries: Iterable[Coeff]) -> Fraction:
+        by_denominator: dict[int, int] = {}
+        get = by_denominator.get
+        for weight, entry in zip(scaled, entries):
+            if weight and entry:
+                d = entry.denominator
+                by_denominator[d] = get(d, 0) + weight * entry.numerator
+        return sum((Fraction(total, d * denominator) for d, total in by_denominator.items()),
+                   Fraction(0))
+
+    return [dot(column) for column in zip(*problem.matrix)], dot(problem.rhs)
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -477,66 +502,24 @@ def standard_basis(extras: Sequence[str] = ()) -> list[tuple[str, Column]]:
     return basis
 
 
-def witness_values(columns: Iterable[Column]) -> list[Coeff]:
-    """The exact value of each column at WITNESS.
-
-    A Poly column is evaluated term by term.  An orbit vector is evaluated
-    as sum(coeff_c * W_c), where W_c is the sum of w^m over m in orbit(c).
-    """
-    powers: dict[Mono, int] = {}  # witness monomial -> its value there
-    orbit_powers: dict[Mono, int] = {}  # canonical monomial c -> W_c
-
-    def power(mono: Mono) -> int:
-        value = powers.get(mono)
-        if value is None:
-            value = powers[mono] = math.prod(w ** e for w, e in zip(WITNESS, mono))
-        return value
-
-    def orbit_power(canonical: Mono) -> int:
-        value = orbit_powers.get(canonical)
-        if value is None:
-            value = orbit_powers[canonical] = sum(map(power, orbit(canonical)))
-        return value
-
-    def at_witness(column: Column) -> Coeff:
-        # Exact, but in ints: ints and Fractions both carry numerator and
-        # denominator, so numerator * value is added into one int per
-        # denominator (a column has few; averages divide by orbit sizes) and
-        # one Fraction per denominator is formed at the end, in place of two
-        # Fraction operations per term.
-        if isinstance(column, Poly):
-            items, value_of = column.terms.items(), power
-        else:
-            items, value_of = column.items(), orbit_power
-        by_denominator: dict[int, int] = {}
-        get = by_denominator.get
-        for mono, coeff in items:
-            denominator = coeff.denominator
-            by_denominator[denominator] = get(denominator, 0) + coeff.numerator * value_of(mono)
-        return sum(Fraction(total, denominator)
-                   for denominator, total in by_denominator.items())
-
-    return [at_witness(column) for column in columns]
-
-
-def upper_bound_check(basis: Sequence[tuple[str, Column]]) -> BoundReport:
+def upper_bound_check(problem: LpProblem) -> BoundReport:
     """Ceiling for the objective from the witness vector (9, 8, 1, 1, 7, 8).
 
-    d4 equals 64 p4 at the witness while p4 is positive there, so any
-    feasible combination with all basis columns nonnegative at the witness
-    forces alpha <= 64.  Columns that go negative at the witness void the
-    argument; they are reported rather than raised.
+    The witness w gives a dual point of every program: with W_c the sum of
+    w^m over the orbit of c, y_c = W_c / p4(w) gives each symmetric column
+    f the value f(w) / p4(w), so p4 gets 1 and b^T y = d4(w) / p4(w) = 64.
+    Weak duality (as in :func:`check_optimality`) then bounds alpha by 64,
+    unless columns go negative at the witness: they void the argument and
+    are reported rather than raised.
     """
-    d4_value, p4_value, *values = witness_values(
-        [catalog.d4(), catalog.p4(), *(column for _, column in basis)]
-    )
-    if d4_value != 64 * p4_value or p4_value <= 0:
+    p4_value = math.prod(WITNESS)  # p4 = abcxyz
+    if p4_value <= 0:
         raise RuntimeError("witness vector lost the d4 = 64 p4 anchor")
-    negative = tuple(name for (name, _), value in zip(basis, values) if value < 0)
-    if negative:
-        return BoundReport(
-            applicable=False, bound=None, witness=WITNESS, negative_columns=negative
-        )
-    return BoundReport(
-        applicable=True, bound=Fraction(64), witness=WITNESS, negative_columns=()
-    )
+    y = {c: Fraction(sum(math.prod(map(pow, WITNESS, m)) for m in orbit(c)), p4_value)
+         for c in problem.monomials}
+    (_, *values), objective = _dual_values(problem, y)
+    if objective != 64:
+        raise RuntimeError("witness vector lost the d4 = 64 p4 anchor")
+    negative = tuple(name for name, value in zip(problem.column_names[1:], values) if value < 0)
+    return BoundReport(applicable=not negative, bound=None if negative else Fraction(64),
+                       witness=WITNESS, negative_columns=negative)

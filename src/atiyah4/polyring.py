@@ -41,6 +41,13 @@ VAR_NAMES = ("a", "b", "c", "x", "y", "z")
 #: The pair of labelled points (A, B, C, D = 0..3) each variable joins, in
 #: VAR_NAMES order: a = |AD|, b = |BD|, c = |CD|, x = |AB|, y = |BC|, z = |AC|.
 EDGES = ((0, 3), (1, 3), (2, 3), (0, 1), (1, 2), (0, 2))
+#: The three variable slots of each face (three of the four points): the
+#: faces {p, q, D} over the edges among A, B, C in EDGES order (x, y, z),
+#: then {A, B, C}.  So ((0, 1, 3), (1, 2, 4), (0, 2, 5), (3, 4, 5)).
+FACES = tuple(
+    tuple(k for k, edge in enumerate(EDGES) if set(edge) <= face)
+    for face in [{p, q, 3} for p, q in EDGES if 3 not in (p, q)] + [{0, 1, 2}]
+)
 _VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
 _ZERO_MONO: Mono = (0, 0, 0, 0, 0, 0)
 

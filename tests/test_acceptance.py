@@ -79,7 +79,8 @@ def test_criterion_5_linear_program_optima():
     ok = True
     for extras, target in expected:
         basis = lp.standard_basis(extras)
-        solution = lp.solve(lp.build_program(basis))
+        problem = lp.build_program(basis)
+        solution = lp.solve(problem)
         combo_ok = (
             solution.status == "optimal"
             and lp.combination_polynomial(basis, solution) == catalog.d4()
@@ -92,7 +93,7 @@ def test_criterion_5_linear_program_optima():
         ok = ok and good
         label = "+".join(extras) if extras else "T6"
         pieces.append(f"{label}: alpha={solution.objective} via {solution.route}")
-    ceiling = lp.upper_bound_check(lp.standard_basis(("z4", "n4", "v4sq")))
+    ceiling = lp.upper_bound_check(problem)  # the z4, n4, v4sq program
     ok = ok and ceiling.applicable and ceiling.bound == 64
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 600

@@ -146,13 +146,16 @@ def test_p4_is_product_of_face_determinants(named):
 
 
 def test_triangular_basis_shape():
-    basis = catalog.triangular_basis()
-    assert len(basis) == catalog.N_TRIANGULAR == 12
-    for form in basis:
-        assert form.is_homogeneous(1)
-    assert basis[0].evaluate((1, 1, 0, 1, 0, 0)) == 1
-    seen = {form.canonical_key() for form in basis}
-    assert len(seen) == 12
+    # Written out: the faces (a, b, x), (b, c, y), (a, c, z), (x, y, z), and
+    # inside each the minus sign on the face's sides in that order.
+    a, b, c, x, y, z = variables()
+    assert catalog.triangular_basis() == (
+        -a + b + x, a - b + x, a + b - x,
+        -b + c + y, b - c + y, b + c - y,
+        -a + c + z, a - c + z, a + c - z,
+        -x + y + z, x - y + z, x + y - z,
+    )
+    assert catalog.N_TRIANGULAR == 12
 
 
 def test_triangular_nonneg_on_special_vectors(named):

@@ -300,9 +300,9 @@ def test_ceiling_entry_is_timed(monkeypatch, capsys):
     monkeypatch.setattr(lp, "standard_basis", lambda extras: [("gap", gap)])
     real_check = lp.upper_bound_check
 
-    def slow_check(basis):
+    def slow_check(problem):
         time.sleep(0.3)
-        return real_check(basis)
+        return real_check(problem)
 
     monkeypatch.setattr(lp, "upper_bound_check", slow_check)
     assert run_cli("--json", "lp") == 0

@@ -28,7 +28,6 @@ from atiyah4.lp import (
     solve,
     standard_basis,
     upper_bound_check,
-    witness_values,
 )
 
 
@@ -369,14 +368,8 @@ def test_standard_basis_shape(t6_columns):
     assert len(set(names)) == len(names)
 
 
-def test_ceiling_argument_applies_to_standard_columns(monkeypatch):
-    basis = standard_basis(["z4", "n4", "v4sq"])
-
-    def no_program(_basis):
-        raise AssertionError("the ceiling must cover the basis it is given")
-
-    monkeypatch.setattr(lp, "build_program", no_program)
-    report = upper_bound_check(basis)
+def test_ceiling_argument_applies_to_standard_columns():
+    report = upper_bound_check(full_program(("z4", "n4", "v4sq")))
     assert report.applicable
     assert report.bound == 64
     assert report.witness == WITNESS
@@ -384,12 +377,13 @@ def test_ceiling_argument_applies_to_standard_columns(monkeypatch):
 
 
 def test_ceiling_argument_voids_on_negative_columns():
-    report = upper_bound_check([("bad", -catalog.p4())])
+    report = upper_bound_check(build_program([("bad", -catalog.p4())]))
     assert not report.applicable
     assert report.bound is None
     assert report.negative_columns == ("bad",)
+    low = -orbit_sum(variable("a") ** 6)
     report = upper_bound_check(
-        [("ok", catalog.p4()), ("low", -variable("a")), ("bad", -catalog.p4())]
+        build_program([("ok", catalog.p4()), ("low", low), ("bad", -catalog.p4())])
     )
     assert report.negative_columns == ("low", "bad")
 
@@ -397,29 +391,35 @@ def test_ceiling_argument_voids_on_negative_columns():
 #: 1/TINY is far below float resolution next to column values at the witness.
 TINY = 10**15 + 37
 
-ONE = Poly({(0,) * 6: 1})
+
+def _at_witness(column, shift):
+    """column minus the multiple of p4 that sets its witness value to shift."""
+    p4 = catalog.p4()
+    value = column.evaluate(WITNESS)
+    return column - p4.scale(Fraction(value - shift) / p4.evaluate(WITNESS))
 
 
 def _fraction_column():
-    """Mixed degrees and several denominators, none of them 1."""
+    """Symmetric, of degree 6, with several denominators, none of them 1."""
     a, b, z = variable("a"), variable("b"), variable("z")
-    return (catalog.p4().scale(Fraction(5, 7)) - (a * b * z).scale(Fraction(11, 3))
-            + (a ** 4).scale(Fraction(-2, 9)))
+    return orbit_sum(catalog.p4().scale(Fraction(5, 7)) - (a * b * z ** 4).scale(Fraction(11, 13))
+                     + (a ** 6).scale(Fraction(-2, 17)))
 
 
 def test_ceiling_names_a_fraction_column_just_below_zero():
     column = _fraction_column()
     assert all(coeff.denominator > 1 for coeff in column.terms.values())
-    value = column.evaluate(WITNESS)
-    low = column - ONE.scale(value + Fraction(1, TINY))
-    zero = column - ONE.scale(value)
+    low = _at_witness(column, Fraction(-1, TINY))
+    zero = _at_witness(column, 0)
     assert low.evaluate(WITNESS) == Fraction(-1, TINY)
     assert zero.evaluate(WITNESS) == 0
-    report = upper_bound_check([("zero", zero), ("low", low), ("p4", catalog.p4())])
+    report = upper_bound_check(
+        build_program([("zero", zero), ("low", low), ("p4", catalog.p4())])
+    )
     assert not report.applicable
     assert report.bound is None
     assert report.negative_columns == ("low",)
-    report = upper_bound_check([("zero", zero), ("p4", catalog.p4())])
+    report = upper_bound_check(build_program([("zero", zero), ("p4", catalog.p4())]))
     assert report.applicable and report.bound == 64
 
 
@@ -427,25 +427,27 @@ coefficients = st.one_of(
     st.integers(min_value=-50, max_value=50),
     st.fractions(min_value=-50, max_value=50, max_denominator=30),
 )
-exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 6)
+degree_six_polys = st.dictionaries(
+    st.sampled_from(list(compositions(6, 6))), coefficients, min_size=1, max_size=8
+).map(Poly)
 
 
 @st.composite
 def witness_columns(draw):
-    terms = draw(st.dictionaries(exponents, coefficients, max_size=5))
-    column = Poly(terms)
+    column = orbit_sum(draw(degree_six_polys))
     # Shift some columns to land exactly on 0 or one TINY step either side.
     shift = draw(st.sampled_from([None, -1, 0, 1]))
     if shift is not None:
-        column = column - ONE.scale(column.evaluate(WITNESS) + Fraction(shift, TINY))
+        column = _at_witness(column, Fraction(shift, TINY))
     return column
 
 
 @given(st.lists(witness_columns(), max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_ceiling_applies_exactly_when_every_column_is_nonnegative(columns):
+    assume(not any(column.is_zero() for column in columns))
     basis = [(f"f{i}", column) for i, column in enumerate(columns)]
-    report = upper_bound_check(basis)
+    report = upper_bound_check(build_program(basis))
     values = [column.evaluate(WITNESS) for column in columns]
     assert report.applicable == all(value >= 0 for value in values)
     assert report.negative_columns == tuple(
@@ -527,6 +529,8 @@ def test_cut_programs_certify_on_the_float_route(extras):
     solution = solve(problem)
     assert solution.route == "certified" and solution.exact_pivots == 0
     assert solution.objective == {0: 32, 2: 60, 3: Fraction(188, 3)}[len(extras)]
+    ceiling = upper_bound_check(problem)
+    assert ceiling.applicable and ceiling.bound == 64
 
 
 @pytest.mark.parametrize("extras", list(PROGRAM_DIGESTS))
@@ -564,11 +568,6 @@ def test_188_3_vertex_passes_as_a_sec3_certificate():
     assert report.passed, report.summary()
 
 
-degree_six_polys = st.dictionaries(
-    st.sampled_from(list(compositions(6, 6))), coefficients, min_size=1, max_size=8
-).map(Poly)
-
-
 def _solution_with(objective, multipliers):
     return lp.LpSolution(
         status="optimal", objective=objective, multipliers=multipliers,
@@ -588,16 +587,31 @@ def test_orbit_form_and_poly_form_agree(f, alpha, lam):
     poly_program, vector_program = build_program([("f", s)]), build_program([("f", v)])
     assert poly_program == vector_program
     assert repr(poly_program) == repr(vector_program)
-    assert upper_bound_check([("f", s)]) == upper_bound_check([("f", v)])
+    assert upper_bound_check(poly_program) == upper_bound_check(vector_program)
     solution = _solution_with(alpha, {"f": lam})
     assert combination_polynomial([("f", s)], solution) == combination_polynomial(
         [("f", v)], solution
     )
 
 
-def test_t6_witness_values_match_the_written_out_columns():
+def test_witness_y_gives_each_t6_column_its_written_out_value(monkeypatch):
+    # The ceiling's y gives each column f the value f(w) / p4(w); the
+    # reference writes each T6 column out and evaluates it at the witness.
+    seen = []
+    dual_values = lp._dual_values
+
+    def recorded(problem, y):
+        seen.append(dual_values(problem, y))
+        return seen[-1]
+
+    monkeypatch.setattr(lp, "_dual_values", recorded)
     vectors = [vector for _, vector in catalog.enumerate_T(6)]
-    assert witness_values(vectors) == [spread(v).evaluate(WITNESS) for v in vectors]
+    report = upper_bound_check(build_program([(str(i), v) for i, v in enumerate(vectors)]))
+    assert report.applicable
+    [(values, objective)] = seen
+    p4_value = catalog.p4().evaluate(WITNESS)
+    assert values == [1] + [Fraction(spread(v).evaluate(WITNESS), p4_value) for v in vectors]
+    assert objective == 64
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,8 @@ the package reasons about:
 * the twelve triangular variables ``t1 .. t12`` (triangle-inequality slack
   in each face), monomials ``t^alpha``, combinations sum(lam t^alpha)
   over a table, and the family ``T_ell`` of all averaged order-``ell``
-  monomials, as orbit vectors.
+  monomials, each given by its integer orbit totals (the orbit form of
+  ``symmetry.orbit_totals``).
 
 All constructions are cached; treat every returned Poly as immutable.
 """
@@ -21,21 +22,12 @@ All constructions are cached; treat every returned Poly as immutable.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
 from . import polyring
 from .polyring import Coeff, Mono, Poly
-from .symmetry import (
-    GROUP_ORDER,
-    OrbitTable,
-    OrbitVector,
-    apply_perm,
-    orbit,
-    orbit_canonical,
-    sym_average,
-)
+from .symmetry import ROWS, OrbitTable, OrbitVector, orbit_canonical, sym_average
 from .symmetry import orbit_sum  # noqa: F401  (perfbench/spans.py traces it here)
 
 A, B, C, X, Y, Z = polyring.variables()
@@ -190,28 +182,18 @@ def triangular_basis() -> tuple[Poly, ...]:
 def t_slot_action() -> tuple[tuple[int, ...], ...]:
     """How each of the 24 distance permutations permutes t1 .. t12.
 
-    Derived, not tabulated: row i maps slot k to the unique slot whose
-    polynomial equals the permuted image of t_{k+1}.  If some image were
-    not again a triangular variable this would raise, so the derivation
-    doubles as a proof that the action is well defined (and sign-free).
+    Derived from the four points, as ``symmetry.ROWS`` is from the edges:
+    slot k is a face of ``polyring.FACES`` with the side its slack negates,
+    in the order of :func:`triangular_basis`.  A relabelling carries a face
+    to a face and a side to a side, so row i sends the slot (face, side) to
+    the slot (ROWS[i] of the face, ROWS[i][side]).
     """
-    basis = triangular_basis()
-    index = {basis[j].canonical_key(): j for j in range(N_TRIANGULAR)}
-    action = []
-    for i in range(GROUP_ORDER):
-        row = []
-        for k in range(N_TRIANGULAR):
-            image = apply_perm(basis[k], i)
-            j = index.get(image.canonical_key())
-            if j is None:
-                raise RuntimeError(
-                    f"permutation {i} does not permute the triangular variables"
-                )
-            row.append(j)
-        if sorted(row) != list(range(N_TRIANGULAR)):
-            raise RuntimeError(f"permutation {i} induces a non-bijective slot map")
-        action.append(tuple(row))
-    return tuple(action)
+    slots = [(frozenset(face), side) for face in polyring.FACES for side in face]
+    index = {slot: k for k, slot in enumerate(slots)}
+    return tuple(
+        tuple(index[frozenset(row[v] for v in face), row[side]] for face, side in slots)
+        for row in ROWS
+    )
 
 
 MultiIndex = tuple[int, ...]
@@ -284,12 +266,13 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
 
     Returns (alpha, orbit vector) pairs where alpha is the orbit-canonical
     representative, deduplicated so that no two returned averages are
-    equal, in a deterministic order.  The orbit vector maps each
-    orbit-canonical monomial c of degree ``order`` to the coefficient of
-    av[t^alpha] on every member of orbit(c), totals[c] / |orbit(c)|;
-    ``symmetry.spread`` writes it out as a Poly.  Multi-indices in the same
-    orbit of the slot action provably average to the same polynomial, so
-    only one representative per orbit is expanded.
+    equal, in a deterministic order.  The orbit vector holds the int orbit
+    totals of t^alpha, which av[t^alpha] shares: each orbit-canonical
+    monomial c of degree ``order`` maps to sum(t^alpha[m] for m in
+    orbit(c)), zero totals left out, as in ``symmetry.orbit_totals``;
+    ``symmetry.average_of_totals`` writes av[t^alpha] out as a Poly.
+    Multi-indices in the same orbit of the slot action provably average to
+    the same polynomial, so only one representative per orbit is expanded.
 
     The canonical alphas are found by walking ``polyring.compositions``
     in descending lex order through one ``symmetry.OrbitTable``: the first
@@ -305,12 +288,10 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
     j < k of the last alpha expanded, and only the slots from the first
     one where the new alpha differs are multiplied out again.
 
-    Equality is decided on the integer orbit totals of t^alpha, summed
-    straight from the packed keys through a map from each degree-order
-    key to its packed canonical key, built once per call.  This is
-    exact: two alphas have equal averages exactly when they have equal
-    totals.  A coefficient totals[c] / |orbit(c)| is an int when it
-    divides and a Fraction otherwise, formed once per (total, c).
+    The orbit totals are summed straight from the packed keys through a
+    map from each degree-order key to its packed canonical key, built once
+    per call.  Equality is decided on them, which is exact: two alphas
+    have equal averages exactly when they have equal totals.
     """
     if type(order) is not int or order < 0:
         raise ValueError("order must be a non-negative int")
@@ -351,20 +332,8 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
             totals[canonical] = get(canonical, 0) + coeff
         signature = tuple(sorted(item for item in totals.items() if item[1]))
         by_totals.setdefault(signature, alpha)
-
-    values: dict[tuple[int, int], Coeff] = {}
-
-    def value(total: int, canonical: int) -> Coeff:
-        coeff = values.get((total, canonical))
-        if coeff is None:
-            size = len(orbit(monomial_of[canonical]))
-            coeff = total // size if total % size == 0 else Fraction(total, size)
-            values[total, canonical] = coeff
-        return coeff
-
     return [
-        (alpha, {monomial_of[canonical]: value(total, canonical)
-                 for canonical, total in signature})
+        (alpha, {monomial_of[canonical]: total for canonical, total in signature})
         for signature, alpha in by_totals.items()
     ]
 

@@ -13,11 +13,13 @@ not floating-point estimates.  A solve takes three steps:
 1. Rows by orbit.  Every side of the identity is symmetric: the T6
    columns are orbit vectors (``symmetry.OrbitVector``), symmetric by
    construction, and d4, p4 and every column given as a Poly are checked
-   with ``is_symmetric``.  So each side has one coefficient per orbit of
-   the 24-element action, and one row per orbit-canonical monomial says
-   all (32 rows at degree 6 instead of 462).  Every orbit row goes to
-   the simplex; rows that are combinations of others need no removal
-   first, as phase 1 drops each row left without a pivot.
+   with ``is_symmetric``.  So each side is fixed by its orbit totals
+   (``symmetry.orbit_totals``), and one row per orbit-canonical monomial,
+   stating that both sides have the same total on that orbit, says all
+   (32 rows at degree 6 instead of 462).  Every entry is an int for the
+   standard columns.  Every orbit row goes to the simplex; rows that are
+   combinations of others need no removal first, as phase 1 drops each
+   row left without a pivot.
 2. Float basis.  The tableau simplex runs in float, with steepest-edge
    pricing (Goldfarb & Reid, Math. Programming 1977), a zero tolerance
    and a pivot cap, to find a candidate optimal basis B.
@@ -41,13 +43,14 @@ certificate for them is out of scope).
 
 The ceiling 64 that no program of this shape can pass is the second use
 of the same dual check (:func:`upper_bound_check`): y comes from the
-witness vector, not from a basis, and the columns it gives a negative
-value void the bound.
+witness vector, not from a basis (the orbit mean of each monomial at the
+witness), and the columns it gives a negative value void the bound.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -56,7 +59,14 @@ from . import catalog
 from .catalog import enumerate_T, format_alpha
 from .linalg import gauss_jordan
 from .polyring import EXACT_TYPES, N_VARS, Coeff, Mono, Poly, mono_key
-from .symmetry import OrbitVector, is_symmetric, orbit, orbit_canonical, spread
+from .symmetry import (
+    OrbitVector,
+    average_of_totals,
+    is_symmetric,
+    orbit,
+    orbit_canonical,
+    orbit_totals,
+)
 
 DEGREE = 6
 
@@ -69,9 +79,9 @@ class LpProblem:
     """Coefficient-matching formulation of the degree-6 program.
 
     Row r states: rhs[r] = alpha * matrix[r][0] + sum_j lambda_j * matrix[r][j]
-    for the coefficients of monomials[r], an orbit-canonical monomial (one
-    row per orbit).  Column 0 is the alpha column (coefficients of p4); the
-    rhs holds the coefficients of d4.
+    for the orbit totals at monomials[r], an orbit-canonical monomial (one
+    row per orbit).  Column 0 is the alpha column (the totals of p4); the
+    rhs holds the totals of d4.
     """
 
     monomials: tuple[Mono, ...]
@@ -106,18 +116,18 @@ class BoundReport:
 WITNESS = (9, 8, 1, 1, 7, 8)
 
 
-#: An LP column: a Poly, or a symmetric polynomial in orbit form.
+#: An LP column: a Poly, or a symmetric polynomial by its orbit totals.
 Column = Union[Poly, OrbitVector]
 
 
 def _orbit_form(name: str, column: Column) -> OrbitVector:
-    """The column's coefficient on each orbit-canonical monomial it meets.
+    """The column's orbit totals.
 
     Every coefficient must be an int or a Fraction, so nothing inexact
     reaches the exact rows.  A Poly must be nonzero, homogeneous of degree
     6 and symmetric.  An orbit vector is symmetric by construction, so it
-    is only checked to be well formed: nonempty, with nonzero coefficients
-    on orbit-canonical degree-6 monomials.
+    is only checked to be well formed: nonempty, with nonzero totals on
+    orbit-canonical degree-6 monomials.
     """
     terms = column.terms if isinstance(column, Poly) else column
     for mono, coeff in terms.items():
@@ -130,7 +140,7 @@ def _orbit_form(name: str, column: Column) -> OrbitVector:
             raise ValueError(f"basis column {name!r} is not homogeneous of degree {DEGREE}")
         if not is_symmetric(column):
             raise ValueError(f"column {name!r} is not symmetric")
-        return {orbit_canonical(mono): coeff for mono, coeff in column.terms.items()}
+        return orbit_totals(column)
     if not column:
         raise ValueError(f"orbit vector {name!r} is empty")
     for mono, coeff in column.items():
@@ -159,9 +169,10 @@ def build_program(basis: Sequence[tuple[str, Column]]) -> LpProblem:
     # Soundness of one row per orbit: each side of d4 = alpha p4 + sum
     # lambda_j f_j is symmetric (checked or by construction), so each side
     # is constant on every orbit of the action, and so is their difference.
-    # Equality on an orbit's canonical monomial is therefore equality on
-    # every monomial of the orbit, and the rows below state the full
-    # polynomial identity.
+    # The orbit total of a side is |orbit(c)| times its coefficient on each
+    # member of orbit(c), so equal totals mean equal coefficients on every
+    # monomial of the orbit, and the rows below state the full polynomial
+    # identity.
     d4, *columns = (  # columns[0] is p4, the alpha column
         _orbit_form(name, column)
         for name, column in (("d4", catalog.d4()), ("p4", catalog.p4()), *basis)
@@ -385,22 +396,14 @@ def check_optimality(problem: LpProblem, alpha: Fraction, multipliers: dict[str,
 
 def _dual_values(problem: LpProblem, y: dict[Mono, Coeff]) -> tuple[list[Fraction], Fraction]:
     """The value y (keyed as in :func:`check_optimality`) gives each column, and b^T y."""
-    # Exact, but in ints: y is brought to one denominator, and each sum adds
-    # weight * numerator into one int per entry denominator (a column has
-    # few; averages divide by orbit sizes), then forms one Fraction for each.
+    # Exact, and in ints for int entries: y is brought to one denominator,
+    # so each value is one sum of weight * entry, divided once.
     weights = [y.get(mono, 0) for mono in problem.monomials]
     denominator = math.lcm(*(w.denominator for w in weights))
     scaled = [w.numerator * (denominator // w.denominator) for w in weights]
 
     def dot(entries: Iterable[Coeff]) -> Fraction:
-        by_denominator: dict[int, int] = {}
-        get = by_denominator.get
-        for weight, entry in zip(scaled, entries):
-            if weight and entry:
-                d = entry.denominator
-                by_denominator[d] = get(d, 0) + weight * entry.numerator
-        return sum((Fraction(total, d * denominator) for d, total in by_denominator.items()),
-                   Fraction(0))
+        return Fraction(sum(map(operator.mul, scaled, entries)), denominator)
 
     return [dot(column) for column in zip(*problem.matrix)], dot(problem.rhs)
 
@@ -473,8 +476,9 @@ def combination_polynomial(basis: Sequence[tuple[str, Column]],
     """alpha p4 + sum lambda_j f_j, for an independent equality check.
 
     Only the columns with a nonzero multiplier are written out; orbit
-    vectors go through ``symmetry.spread``, not through the program rows,
-    so comparing the result with d4 on every monomial checks the row build.
+    vectors go through ``symmetry.average_of_totals``, not through the
+    program rows, so comparing the result with d4 on every monomial checks
+    the row build.
     """
     if solution.objective is None:
         raise ValueError("solution has no objective value")
@@ -482,7 +486,7 @@ def combination_polynomial(basis: Sequence[tuple[str, Column]],
     for name, column in basis:
         lam = solution.multipliers.get(name, Fraction(0))
         if lam:
-            poly = column if isinstance(column, Poly) else spread(column)
+            poly = column if isinstance(column, Poly) else average_of_totals(column)
             result = result + poly.scale(lam)
     return result
 
@@ -506,8 +510,10 @@ def upper_bound_check(problem: LpProblem) -> BoundReport:
     """Ceiling for the objective from the witness vector (9, 8, 1, 1, 7, 8).
 
     The witness w gives a dual point of every program: with W_c the sum of
-    w^m over the orbit of c, y_c = W_c / p4(w) gives each symmetric column
-    f the value f(w) / p4(w), so p4 gets 1 and b^T y = d4(w) / p4(w) = 64.
+    w^m over the orbit of c, y_c = W_c / (|orbit(c)| p4(w)) is the orbit
+    mean of w^m over p4(w).  A symmetric column f with orbit totals F_c has
+    the coefficient F_c / |orbit(c)| on each of the W_c terms, so y gives
+    it the value f(w) / p4(w): p4 gets 1 and b^T y = d4(w) / p4(w) = 64.
     Weak duality (as in :func:`check_optimality`) then bounds alpha by 64,
     unless columns go negative at the witness: they void the argument and
     are reported rather than raised.
@@ -515,8 +521,11 @@ def upper_bound_check(problem: LpProblem) -> BoundReport:
     p4_value = math.prod(WITNESS)  # p4 = abcxyz
     if p4_value <= 0:
         raise RuntimeError("witness vector lost the d4 = 64 p4 anchor")
-    y = {c: Fraction(sum(math.prod(map(pow, WITNESS, m)) for m in orbit(c)), p4_value)
-         for c in problem.monomials}
+
+    def orbit_mean(members: Sequence[Mono]) -> Fraction:
+        return Fraction(sum(math.prod(map(pow, WITNESS, m)) for m in members), len(members))
+
+    y = {c: orbit_mean(orbit(c)) / p4_value for c in problem.monomials}
     (_, *values), objective = _dual_values(problem, y)
     if objective != 64:
         raise RuntimeError("witness vector lost the d4 = 64 p4 anchor")

@@ -19,9 +19,11 @@ homomorphism).
 
 ``OrbitTable`` is the one place orbit canonical forms are computed, for
 the six distance exponents here and for the twelve triangular-variable
-exponents in ``catalog``.  A symmetric polynomial is fixed by its
-coefficients on the orbit-canonical monomials (Gatermann & Parrilo,
-"Symmetry groups, semidefinite programs, and sums of squares", 2004).
+exponents in ``catalog``.  A symmetric polynomial is fixed by its orbit
+totals, one per orbit-canonical monomial (Gatermann & Parrilo, "Symmetry
+groups, semidefinite programs, and sums of squares", 2004): they are the
+one orbit form of the package, which ``certify`` compares and the linear
+programs of ``lp`` are written in (:func:`orbit_totals`).
 """
 
 from __future__ import annotations
@@ -142,7 +144,12 @@ def orbit_canonical(mono: Mono) -> Mono:
     return _MONOMIALS.canonical(mono)
 
 
-def orbit_totals(poly: Poly) -> dict[Mono, Coeff]:
+#: A polynomial in orbit form: orbit-canonical monomial c -> its orbit
+#: total sum(p[m] for m in orbit(c)), zero totals left out.
+OrbitVector = dict[Mono, Coeff]
+
+
+def orbit_totals(poly: Poly) -> OrbitVector:
     """The orbit-compressed form of ``poly``.
 
     Maps each orbit-canonical monomial c to sum(p[m] for m in orbit(c));
@@ -159,11 +166,6 @@ def orbit_totals(poly: Poly) -> dict[Mono, Coeff]:
         canonical = orbit_canonical(mono)
         totals[canonical] = get(canonical, 0) + coeff
     return {c: normalize_coeff(total) for c, total in totals.items() if total}
-
-
-#: A symmetric polynomial in orbit form: orbit-canonical monomial -> its
-#: coefficient there, which is the coefficient on every member of the orbit.
-OrbitVector = dict[Mono, Coeff]
 
 
 def orbit(mono: Mono) -> tuple[Mono, ...]:
@@ -183,11 +185,6 @@ def _spread(totals: Mapping[Mono, Coeff], weight: Callable[[int], Coeff]) -> Pol
         for mono in members:
             result[mono] = value
     return Poly._raw(result)
-
-
-def spread(vector: Mapping[Mono, Coeff]) -> Poly:
-    """Write out an orbit vector: vector[c] on every member of each orbit c."""
-    return _spread(vector, lambda size: 1)
 
 
 def orbit_sum(poly: Poly) -> Poly:

@@ -4,7 +4,7 @@ import pytest
 
 from atiyah4 import catalog
 from atiyah4.polyring import VAR_NAMES
-from atiyah4.symmetry import GROUP_ORDER, permute_tuple, spread
+from atiyah4.symmetry import GROUP_ORDER, average_of_totals, permute_tuple
 
 #: The two labelled points each distance joins, written out by name.
 PAIR_OF = {"a": "AD", "b": "BD", "c": "CD", "x": "AB", "y": "BC", "z": "AC"}
@@ -28,7 +28,7 @@ def named():
 
 @pytest.fixture(scope="session")
 def t6_columns():
-    return [(alpha, spread(vector)) for alpha, vector in catalog.enumerate_T(6)]
+    return [(alpha, average_of_totals(vector)) for alpha, vector in catalog.enumerate_T(6)]
 
 
 @pytest.fixture(scope="session")

@@ -19,8 +19,15 @@ from hypothesis import strategies as st
 
 from atiyah4 import catalog, certify, lp
 from atiyah4.linalg import gauss_jordan
-from atiyah4.polyring import Poly, compositions, variable
-from atiyah4.symmetry import orbit_canonical, orbit_sum, orbit_totals, spread, sym_average
+from atiyah4.polyring import Poly, compositions, normalize_coeff, variable
+from atiyah4.symmetry import (
+    average_of_totals,
+    orbit,
+    orbit_canonical,
+    orbit_sum,
+    orbit_totals,
+    sym_average,
+)
 from atiyah4.lp import (
     WITNESS,
     build_program,
@@ -479,7 +486,8 @@ def test_program_rows_are_deduplicated():
 
 #: sha256 over repr((monomials, column_names, matrix, rhs)) of the three full
 #: programs build_program(standard_basis(extras)), as first computed with
-#: the T6 columns written out as Polys over all 462 degree-6 monomials.
+#: the T6 columns written out as Polys over all 462 degree-6 monomials and
+#: one row per orbit holding the coefficients at its canonical monomial.
 PROGRAM_DIGESTS = {
     (): "f9df7650c7009cd5c4740d8baa843d1d24f572dbf04167144296641942d9cb51",
     ("z4", "n4"): "112621b28b1a8e04e29443280c6bf8ee7b948533a5857216f0aea89a7eaba3fd",
@@ -494,9 +502,19 @@ def full_program(extras):
 
 @pytest.mark.parametrize("extras", list(PROGRAM_DIGESTS))
 def test_full_programs_are_pinned(extras):
-    # repr tells an int entry from an integral Fraction
+    # The rows hold orbit totals, all ints; row c divided by |orbit(c)| is
+    # the row of coefficients that was pinned.  repr tells an int entry
+    # from an integral Fraction.
     problem = full_program(extras)
-    text = repr((problem.monomials, problem.column_names, problem.matrix, problem.rhs))
+    assert all(type(v) is int for row in problem.matrix for v in row)
+    assert all(type(v) is int for v in problem.rhs)
+    sizes = [len(orbit(c)) for c in problem.monomials]
+    matrix = tuple(
+        tuple(normalize_coeff(Fraction(v, size)) for v in row)
+        for row, size in zip(problem.matrix, sizes)
+    )
+    rhs = tuple(normalize_coeff(Fraction(b, size)) for b, size in zip(problem.rhs, sizes))
+    text = repr((problem.monomials, problem.column_names, matrix, rhs))
     assert hashlib.sha256(text.encode()).hexdigest() == PROGRAM_DIGESTS[extras]
 
 
@@ -582,8 +600,8 @@ def _solution_with(objective, multipliers):
 def test_orbit_form_and_poly_form_agree(f, alpha, lam):
     s = orbit_sum(f)
     assume(not s.is_zero())
-    v = {c: s.terms[c] for c in orbit_totals(f)}
-    assert spread(v) == s
+    v = orbit_totals(s)
+    assert average_of_totals(v) == s
     poly_program, vector_program = build_program([("f", s)]), build_program([("f", v)])
     assert poly_program == vector_program
     assert repr(poly_program) == repr(vector_program)
@@ -610,7 +628,9 @@ def test_witness_y_gives_each_t6_column_its_written_out_value(monkeypatch):
     assert report.applicable
     [(values, objective)] = seen
     p4_value = catalog.p4().evaluate(WITNESS)
-    assert values == [1] + [Fraction(spread(v).evaluate(WITNESS), p4_value) for v in vectors]
+    assert values == [1] + [
+        Fraction(average_of_totals(v).evaluate(WITNESS), p4_value) for v in vectors
+    ]
     assert objective == 64
 
 

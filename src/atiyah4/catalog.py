@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from . import polyring
@@ -274,19 +275,23 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
     Multi-indices in the same orbit of the slot action provably average to
     the same polynomial, so only one representative per orbit is expanded.
 
-    The canonical alphas are found by walking ``polyring.compositions``
-    in descending lex order through one ``symmetry.OrbitTable``: the first
-    member of each orbit to arrive is its canonical form, so keeping
-    exactly the alphas the table maps to themselves keeps the
-    first-arrival order.
+    The walk lists each alpha as a multiset of ``order`` slots, in the
+    ascending order of ``itertools.combinations_with_replacement``: that
+    is descending lex order of alpha, since where two multisets first
+    differ the earlier holds one more of the smaller slot.  So through one
+    ``symmetry.OrbitTable`` each orbit arrives first at its canonical (lex
+    largest) alpha, and keeping the alphas the table fixes keeps the
+    first-arrival order.  The slot action is transitive, so a canonical
+    alpha holds slot 0 and the walk stops at the first multiset without it.
 
     Products are taken on packed monomial keys (``polyring.pack``) at the
     width that holds every exponent up to ``order``, so adding two keys
     multiplies two monomials without a carry.  Each t_k is a 3-term
-    linear form of key offsets, and t^alpha is expanded through a prefix
-    stack: ``prefix[k]`` is the product of t_j^alpha_j over the slots
-    j < k of the last alpha expanded, and only the slots from the first
-    one where the new alpha differs are multiplied out again.
+    linear form of key offsets, and t^alpha, the product of its slots'
+    forms, is expanded through a prefix stack: ``prefix[i]`` is the
+    product over the first i slots of the last multiset expanded, and only
+    the positions from the first one where the new multiset differs are
+    multiplied out again.
 
     The orbit totals are summed straight from the packed keys through a
     map from each degree-order key to its packed canonical key, built once
@@ -305,29 +310,29 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
     forms = _packed_forms(width)
     canonical_of: dict[int, int] = {}  # packed monomial -> packed canonical
     monomial_of: dict[int, Mono] = {}  # packed canonical -> canonical monomial
-    for mono in polyring.compositions(order, polyring.N_VARS):
+    for factors in combinations_with_replacement(range(polyring.N_VARS), order):
+        mono = _counts(factors, polyring.N_VARS)
         canonical = orbit_canonical(mono)
         key = canonical_of[polyring.pack(mono, width)] = polyring.pack(canonical, width)
         monomial_of[key] = canonical
-    prefix: list[dict[int, int]] = [{0: 1}] * (N_TRIANGULAR + 1)
-    previous: MultiIndex | None = None
+    prefix: list[dict[int, int]] = [{0: 1}] * (order + 1)
+    previous: tuple[int, ...] = ()
     by_totals: dict[tuple[tuple[int, int], ...], MultiIndex] = {}
-    for alpha in polyring.compositions(order, N_TRIANGULAR):
+    for slots in combinations_with_replacement(range(N_TRIANGULAR), order):
+        if slots and slots[0]:
+            break  # the rest hold no t1, so none is canonical
+        alpha = _counts(slots, N_TRIANGULAR)
         if orbits.canonical(alpha) != alpha:
             continue
         start = 0
-        if previous is not None:
-            while alpha[start] == previous[start]:
-                start += 1
-        for k in range(start, N_TRIANGULAR):
-            product = prefix[k]
-            for _ in range(alpha[k]):
-                product = _times_form(product, forms[k])
-            prefix[k + 1] = product
-        previous = alpha
+        while start < len(previous) and slots[start] == previous[start]:
+            start += 1
+        for i in range(start, order):
+            prefix[i + 1] = _times_form(prefix[i], forms[slots[i]])
+        previous = slots
         totals: dict[int, int] = {}
         get = totals.get
-        for key, coeff in prefix[N_TRIANGULAR].items():
+        for key, coeff in prefix[order].items():
             canonical = canonical_of[key]
             totals[canonical] = get(canonical, 0) + coeff
         signature = tuple(sorted(item for item in totals.items() if item[1]))
@@ -336,6 +341,14 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
         (alpha, {monomial_of[canonical]: total for canonical, total in signature})
         for signature, alpha in by_totals.items()
     ]
+
+
+def _counts(slots: tuple[int, ...], parts: int) -> tuple[int, ...]:
+    """How often each of ``parts`` slots occurs in a multiset of slots."""
+    counts = [0] * parts
+    for slot in slots:
+        counts[slot] += 1
+    return tuple(counts)
 
 
 def _packed_forms(width: int) -> list[tuple[tuple[int, int], ...]]:

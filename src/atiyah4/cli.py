@@ -353,7 +353,13 @@ def cmd_sample(args) -> dict:
 
 
 def _parse_rational(token: str) -> Fraction:
+    # Fraction builds 10**exponent in full before anything is printed, and
+    # a value with more digits than the int-to-str limit cannot be printed.
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    _, marker, exponent = token.strip().lower().partition("e")
     try:
+        if marker and abs(int(exponent)) > limit:
+            raise UsageError(f"exponent of {token!r} exceeds the {limit}-digit limit")
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {token!r}") from exc
@@ -368,13 +374,13 @@ def cmd_eval(args) -> dict:
     started = time.perf_counter()
     value = polys[args.name].evaluate(u)
     elapsed = time.perf_counter() - started
-    point = ", ".join(str(q) for q in u)
+    try:
+        point = ", ".join(str(q) for q in u)
+        text = str(value)
+    except ValueError as exc:  # more digits than the int-to-str limit
+        raise UsageError(f"cannot print {args.name} at this point: {exc}") from exc
     check = _check_entry(
-        f"eval {args.name}",
-        "pass",
-        elapsed,
-        f"{args.name}({point}) = {value}",
-        value=str(value),
+        f"eval {args.name}", "pass", elapsed, f"{args.name}({point}) = {text}", value=text
     )
     return {"command": "eval", "checks": [check], "passed": True}
 

@@ -27,7 +27,7 @@ be treated as read-only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Mono = tuple[int, int, int, int, int, int]
@@ -444,34 +444,3 @@ def _horner_text(
     if exponents[0]:
         text = times_power(exponents[0], text)
     return text
-
-
-# -- enumeration -----------------------------------------------------------
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative ints summing to ``total``.
-
-    Emitted in lexicographically descending order with the leftmost slot
-    most significant, so the output order is deterministic.  Each step
-    moves one unit rightwards: the last slot before the final one that is
-    nonzero gives up one unit, and the slot after it takes that unit plus
-    everything the final slot held.
-    """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if total < 0:
-        return
-    current = [total] + [0] * (parts - 1)
-    last = parts - 1
-    while True:
-        yield tuple(current)
-        i = last - 1
-        while i >= 0 and not current[i]:
-            i -= 1
-        if i < 0:
-            return
-        current[i] -= 1
-        rest = current[last] + 1
-        current[last] = 0
-        current[i + 1] = rest

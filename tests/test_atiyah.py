@@ -123,6 +123,28 @@ def test_real_and_imaginary_identities():
     assert worst_im < 1e-8
 
 
+@pytest.mark.parametrize("mode", atiyah.MODES)
+def test_imaginary_part_has_the_sign_of_w4_times_the_orientation(mode):
+    """Im At = -2 w4(u) D with D = det[P1 - P0, P2 - P0, P3 - P0].
+
+    The unsquared form of (Im At)^2 = w4^2 z4, since z4 = 144 V^2 = 4 D^2;
+    it fixes the sign of w4, which every squared check leaves open.
+    """
+    w4f = atiyah._float_fn("w4")
+    worst = 0.0
+    for i in range(200):
+        points = sample_config(4, i, mode)
+        p0 = points[0]
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = (
+            tuple(p[k] - p0[k] for k in range(3)) for p in points[1:]
+        )
+        orientation = ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx) + az * (bx * cy - by * cx)
+        value = atiyah_det(points)
+        u = distance_vector(*points)
+        worst = max(worst, abs(value.imag + 2 * w4f(u) * orientation) / abs(value))
+    assert worst < 1e-10
+
+
 def test_determinant_rejects_bad_input():
     with pytest.raises(ValueError):
         atiyah_det([(0.0, 0.0, 0.0)])

@@ -43,6 +43,24 @@ def test_eval_bad_rational_is_usage_error(capsys):
     assert "not a rational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("p4", "1e5000"), ("d4", "1e1000"), ("z4", "1e-2000"), ("p4", "1e1000000000")],
+)
+def test_eval_too_many_digits_is_usage_error(capsys, name, value):
+    """A point or value beyond the int-to-str digit limit is refused, not
+    raised; the last exponent would take 10**(10**9) to build."""
+    assert run_cli("eval", name, value, "1", "1", "1", "1", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "digit" in captured.err
+
+
+def test_eval_prints_values_within_the_digit_limit(capsys):
+    assert run_cli("eval", "p4", "1e4000", "1", "1", "1", "1", "1") == 0
+    assert f" = 1{'0' * 4000} " in capsys.readouterr().out
+
+
 def test_verify_sec3_passes(capsys):
     assert run_cli("verify", "sec3") == 0
     out = capsys.readouterr().out

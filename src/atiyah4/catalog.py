@@ -287,16 +287,18 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
     Products are taken on packed monomial keys (``polyring.pack``) at the
     width that holds every exponent up to ``order``, so adding two keys
     multiplies two monomials without a carry.  Each t_k is a 3-term
-    linear form of key offsets, and t^alpha, the product of its slots'
-    forms, is expanded through a prefix stack: ``prefix[i]`` is the
-    product over the first i slots of the last multiset expanded, and only
-    the positions from the first one where the new multiset differs are
-    multiplied out again.
+    linear form of key offsets, and the product of all but the last slot's
+    forms is kept on a prefix stack: ``prefix[i]`` is the product over the
+    first i slots of the last multiset expanded, and only the positions
+    from the first one where the new multiset differs are multiplied out
+    again.
 
-    The orbit totals are summed straight from the packed keys through a
-    map from each degree-order key to its packed canonical key, built once
-    per call.  Equality is decided on them, which is exact: two alphas
-    have equal averages exactly when they have equal totals.
+    The last slot is never multiplied out: each term of ``prefix[order -
+    1]`` adds its three shifted coefficients straight into a list of orbit
+    totals, through a map from each degree-order key to its orbit's index,
+    built once per call.  Equality is decided on that list, which is
+    exact: two alphas have equal averages exactly when they have equal
+    totals.
     """
     if type(order) is not int or order < 0:
         raise ValueError("order must be a non-negative int")
@@ -305,6 +307,8 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
             f"refusing to enumerate order {order}: "
             f"the guard is {MAX_ENUMERATION_ORDER}"
         )
+    if order == 0:
+        return [((0,) * N_TRIANGULAR, {(0,) * polyring.N_VARS: 1})]
     orbits = OrbitTable(t_slot_action())
     width = polyring.pack_width(order)
     forms = _packed_forms(width)
@@ -315,11 +319,14 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
         canonical = orbit_canonical(mono)
         key = canonical_of[polyring.pack(mono, width)] = polyring.pack(canonical, width)
         monomial_of[key] = canonical
-    prefix: list[dict[int, int]] = [{0: 1}] * (order + 1)
+    keys = sorted(monomial_of)
+    position = {key: i for i, key in enumerate(keys)}
+    orbit_of = {key: position[canonical] for key, canonical in canonical_of.items()}
+    prefix: list[dict[int, int]] = [{0: 1}] * order
     previous: tuple[int, ...] = ()
-    by_totals: dict[tuple[tuple[int, int], ...], MultiIndex] = {}
+    by_totals: dict[tuple[int, ...], MultiIndex] = {}
     for slots in combinations_with_replacement(range(N_TRIANGULAR), order):
-        if slots and slots[0]:
+        if slots[0]:
             break  # the rest hold no t1, so none is canonical
         alpha = _counts(slots, N_TRIANGULAR)
         if orbits.canonical(alpha) != alpha:
@@ -327,19 +334,19 @@ def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:
         start = 0
         while start < len(previous) and slots[start] == previous[start]:
             start += 1
-        for i in range(start, order):
+        for i in range(start, order - 1):
             prefix[i + 1] = _times_form(prefix[i], forms[slots[i]])
         previous = slots
-        totals: dict[int, int] = {}
-        get = totals.get
-        for key, coeff in prefix[order].items():
-            canonical = canonical_of[key]
-            totals[canonical] = get(canonical, 0) + coeff
-        signature = tuple(sorted(item for item in totals.items() if item[1]))
-        by_totals.setdefault(signature, alpha)
+        (d1, c1), (d2, c2), (d3, c3) = forms[slots[-1]]
+        totals = [0] * len(keys)
+        for key, coeff in prefix[order - 1].items():
+            totals[orbit_of[key + d1]] += c1 * coeff
+            totals[orbit_of[key + d2]] += c2 * coeff
+            totals[orbit_of[key + d3]] += c3 * coeff
+        by_totals.setdefault(tuple(totals), alpha)
     return [
-        (alpha, {monomial_of[canonical]: total for canonical, total in signature})
-        for signature, alpha in by_totals.items()
+        (alpha, {monomial_of[key]: total for key, total in zip(keys, totals) if total})
+        for totals, alpha in by_totals.items()
     ]
 
 

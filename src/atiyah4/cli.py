@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -252,7 +253,9 @@ def cmd_lp(args) -> dict:
 
     started = time.perf_counter()
     problem = lp.build_program(basis)
+    solve_started = time.perf_counter()
     solution = lp.solve(problem)
+    solve_ms = int((time.perf_counter() - solve_started) * 1000)
     elapsed = time.perf_counter() - started
 
     route = (
@@ -261,6 +264,7 @@ def cmd_lp(args) -> dict:
     )
     trace = {
         "basis_ms": basis_ms,
+        "solve_ms": solve_ms,
         "route": solution.route,
         "float_pivots": solution.float_pivots,
         "exact_pivots": solution.exact_pivots,
@@ -356,13 +360,18 @@ def _parse_rational(token: str) -> Fraction:
     # Fraction builds 10**exponent in full before anything is printed, and
     # a value with more digits than the int-to-str limit cannot be printed.
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    shown = repr(token) if len(token) <= 40 else f"{token[:20]!r}..."
     _, marker, exponent = token.strip().lower().partition("e")
     try:
         if marker and abs(int(exponent)) > limit:
-            raise UsageError(f"exponent of {token!r} exceeds the {limit}-digit limit")
+            raise UsageError(f"exponent of {shown} exceeds the {limit}-digit limit")
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {token!r}") from exc
+        # str -> int refuses more digits than the limit in one integer part
+        digits = max(sum(ch.isdigit() for ch in part) for part in re.split("[/eE]", token))
+        if digits > limit:
+            raise UsageError(f"{shown} has {digits} digits, over the {limit}-digit limit") from exc
+        raise UsageError(f"not a rational number: {shown}") from exc
 
 
 def cmd_eval(args) -> dict:

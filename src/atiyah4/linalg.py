@@ -1,8 +1,8 @@
 """Exact Gauss-Jordan elimination.
 
 One routine serves every exact linear-algebra need of the package: the
-two basis solves of the LP certificate (``lp``) and the exact
-Cayley-Menger determinant (``atiyah``).
+two basis solves of the LP certificate (``lp``), whose rows are all
+ints, and the exact Cayley-Menger determinant (``atiyah``).
 """
 
 from __future__ import annotations
@@ -27,14 +27,18 @@ def gauss_jordan(
       in column ``pivots[r]`` and a 0 there in every other row;
     - ``det`` is the determinant of a square matrix (0 when it is singular).
 
-    Each row is scaled to integers first and the elimination is
-    fraction-free (Bareiss): the division by the previous pivot is exact,
-    because every entry stays a minor of the scaled matrix.  Integer
-    arithmetic is several times faster than Fraction arithmetic here.
+    Each row is scaled to integers first (a row of exact ints is only
+    copied) and the elimination is fraction-free (Bareiss): the division
+    by the previous pivot is exact, because every entry stays a minor of
+    the scaled matrix.  Integer arithmetic is several times faster than
+    Fraction arithmetic here.
     """
     work: list[list[int]] = []
     scale = 1
     for row in matrix:
+        if all(type(v) is int for v in row):
+            work.append(list(row))
+            continue
         entries = [Fraction(v) for v in row]
         multiplier = math.lcm(*(v.denominator for v in entries))
         work.append([int(v * multiplier) for v in entries])

@@ -17,6 +17,7 @@ from atiyah4.symmetry import (
     average_of_totals,
     is_skew_symmetric,
     is_symmetric,
+    orbit_totals,
     permute_tuple,
     sym_average,
 )
@@ -290,6 +291,7 @@ def test_format_alpha():
 
 
 def test_enumerate_T_small_orders():
+    assert catalog.enumerate_T(0) == [((0,) * 12, {(0,) * 6: 1})]
     degree_one = [(alpha, average_of_totals(vector)) for alpha, vector in catalog.enumerate_T(1)]
     assert len(degree_one) == 1
     alpha, poly = degree_one[0]
@@ -339,6 +341,16 @@ def test_enumerate_T_matches_the_reference(order):
     assert [repr(poly.canonical_key()) for _, poly in columns] == [
         repr(poly.canonical_key()) for _, poly in reference
     ]
+
+
+def test_enumerate_T_five_matches_expanded_orbit_totals():
+    """Each orbit vector against Poly products and ``symmetry.orbit_totals``,
+    a route through none of the packed forms, prefix stack or orbit map."""
+    columns = catalog.enumerate_T(5)
+    for alpha, vector in columns:
+        assert vector == orbit_totals(catalog.t_alpha_expand(alpha))
+        assert all(type(total) is int for total in vector.values())
+    assert len({tuple(sorted(vector.items())) for _, vector in columns}) == len(columns)
 
 
 def test_enumerate_T_six_is_frozen(t6_columns):

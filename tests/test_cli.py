@@ -56,6 +56,15 @@ def test_eval_too_many_digits_is_usage_error(capsys, name, value):
     assert "digit" in captured.err
 
 
+def test_eval_oversized_integer_names_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert run_cli("eval", "p4", "7" * 5000, "1", "1", "1", "1", "1") == 2
+    err = capsys.readouterr().err
+    assert f"5000 digits, over the {limit}-digit limit" in err
+    assert "not a rational" not in err
+    assert len(err) < 200
+
+
 def test_eval_prints_values_within_the_digit_limit(capsys):
     assert run_cli("eval", "p4", "1e4000", "1", "1", "1", "1", "1") == 0
     assert f" = 1{'0' * 4000} " in capsys.readouterr().out
@@ -343,6 +352,23 @@ def test_basis_build_is_timed_apart_from_the_solve(monkeypatch, capsys):
     assert entries["lp"]["status"] == "pass"
     assert entries["lp"]["basis_ms"] >= 300
     assert entries["lp"]["elapsed_ms"] < 300
+
+
+def test_solve_is_timed_inside_the_entry(monkeypatch, capsys):
+    gap = catalog.d4() - 64 * catalog.p4()
+    real_solve = lp.solve
+
+    def slow_solve(problem):
+        time.sleep(0.3)
+        return real_solve(problem)
+
+    monkeypatch.setattr(lp, "standard_basis", lambda extras: [("gap", gap)])
+    monkeypatch.setattr(lp, "solve", slow_solve)
+    assert run_cli("--json", "lp") == 0
+    entry = json.loads(capsys.readouterr().out)["checks"][0]
+    assert entry["status"] == "pass"
+    assert 300 <= entry["solve_ms"] <= entry["elapsed_ms"]
+    assert entry["basis_ms"] < 300
 
 
 @pytest.mark.parametrize("broken", ["d4", "w4", "z4"])

@@ -1,5 +1,6 @@
 """Exact Gauss-Jordan elimination against definitions."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -66,3 +67,33 @@ def test_augmented_solve_leaves_the_rhs_unpivoted():
     # an inconsistent system keeps rank 1 in the searched columns
     _, pivots, _ = gauss_jordan([[1, 1, 1], [2, 2, 3]], ncols=2)
     assert pivots == [0]
+
+
+def fraction_form(matrix):
+    return [[Fraction(v) for v in row] for row in matrix]
+
+
+@given(matrices(), st.lists(st.booleans(), min_size=4, max_size=4))
+@settings(max_examples=80)
+def test_int_rows_match_their_fraction_form(matrix, as_int):
+    """Rows of exact ints skip the scaling to integers; the result must not show it."""
+    all_int = [[math.floor(v) for v in row] for row in matrix]
+    assert gauss_jordan(all_int) == gauss_jordan(fraction_form(all_int))
+    mixed = [ints if flag else row for ints, row, flag in zip(all_int, matrix, as_int)]
+    assert gauss_jordan(mixed) == gauss_jordan(fraction_form(mixed))
+
+
+def test_bool_entries_act_as_their_int_values():
+    bools = [[True, False, True], [True, True, False], [False, True, True]]
+    ints = [[int(v) for v in row] for row in bools]
+    assert gauss_jordan(bools) == gauss_jordan(ints)
+    assert gauss_jordan(bools, ncols=2) == gauss_jordan(ints, ncols=2)
+
+
+def test_callers_rows_are_left_alone():
+    matrix = [[0, 2, 1], [3, 1, 4], [6, 2, 8], (1, 1, 1)]
+    before = [list(row) for row in matrix]
+    rows, pivots, _ = gauss_jordan(matrix)
+    assert [list(row) for row in matrix] == before
+    assert pivots == [0, 1, 2]
+    assert not any(row is caller for row in rows for caller in matrix)

@@ -1,6 +1,9 @@
-"""Independent reference generators that several test modules draw from."""
+"""Independent references that the tests compare the package against."""
 
+from itertools import combinations
 from typing import Iterator
+
+from atiyah4.atiyah import hopf_lift, paired_lift
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -17,3 +20,38 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(total, -1, -1):
         for tail in compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def reference_atiyah_matrix(points, pair_phases=None):
+    """Atiyah matrix by the schoolbook product loop over an n x n lift table.
+
+    Entry [i][j] of the table is the lift of P_j - P_i for i < j and its
+    partner lift for i > j; column j multiplies observer j's factors in
+    ascending k into the coefficient list one factor at a time.  No input
+    checks: the points are distinct and finite, and ``pair_phases`` (if
+    given) has one entry per pair in combinations order.
+    """
+    n = len(points)
+    lifts = [[None] * n for _ in range(n)]
+    for index, (i, j) in enumerate(combinations(range(n), 2)):
+        p, q = points[i], points[j]
+        z, w = hopf_lift((q[0] - p[0], q[1] - p[1], q[2] - p[2]))
+        if pair_phases is not None:
+            lam = complex(pair_phases[index])
+            z, w = lam * z, lam * w
+        lifts[i][j] = (z, w)
+        lifts[j][i] = paired_lift(i, j, (z, w))
+    columns = []
+    for j, row_lifts in enumerate(lifts):
+        coeffs = [complex(1.0)]
+        for k, lift in enumerate(row_lifts):
+            if k == j:
+                continue
+            z, w = lift
+            grown = [complex(0.0)] * (len(coeffs) + 1)
+            for row, value in enumerate(coeffs):
+                grown[row] += z * value
+                grown[row + 1] += w * value
+            coeffs = grown
+        columns.append(coeffs)
+    return [list(row) for row in zip(*columns)]

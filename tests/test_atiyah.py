@@ -4,7 +4,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +29,7 @@ from atiyah4.atiyah import (
 )
 from atiyah4.polyring import VAR_NAMES, constant, variable, zero
 from atiyah4.symmetry import permute_tuple
+from references import reference_atiyah_matrix
 
 components = st.floats(
     min_value=-10, max_value=10, allow_nan=False, allow_infinity=False
@@ -145,9 +146,19 @@ def test_imaginary_part_has_the_sign_of_w4_times_the_orientation(mode):
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_each_coincident_pair_is_named(n):
+    for i, j in combinations(range(n), 2):
+        points = sample_config(n, 40 + n, "generic")
+        points[j] = points[i]
+        with pytest.raises(ValueError, match=f"^points {i} and {j} coincide$"):
+            atiyah_matrix(points)
+
+
 def test_determinant_rejects_bad_input():
-    with pytest.raises(ValueError):
-        atiyah_det([(0.0, 0.0, 0.0)])
+    for count in (1, 7):
+        with pytest.raises(ValueError, match=r"^supported point counts are 2\.\.6$"):
+            atiyah_det([(0.0, 0.0, 0.0)] * count)
     with pytest.raises(ValueError, match="coincide"):
         atiyah_det([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
     with pytest.raises(ValueError, match="finite"):
@@ -166,7 +177,7 @@ def test_phase_choices_do_not_move_the_determinant():
 
 def test_phase_list_length_is_checked():
     points = sample_config(4, 1, "generic")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected 6 pair phases, got 1$"):
         atiyah_det(points, pair_phases=[1 + 0j])
 
 
@@ -197,6 +208,52 @@ def test_translation_and_rotation_invariance():
         for p in points
     ]
     assert abs(atiyah_det(rotated) - base) <= 1e-9 * abs(base)
+
+
+def test_matrix_matches_the_reference_loop_bitwise():
+    # Hex, not ==, so that a signed zero that differs counts.
+    def hexes(matrix):
+        return [(e.real.hex(), e.imag.hex()) for row in matrix for e in row]
+
+    for n in range(2, 7):
+        phases = _pin_phases(n)
+        for mode in atiyah.MODES:
+            for seed in range(50):
+                points = sample_config(n, seed, mode)
+                for pair_phases in (None, phases):
+                    got = hexes(atiyah_matrix(points, pair_phases))
+                    want = hexes(reference_atiyah_matrix(points, pair_phases))
+                    assert got == want, (n, mode, seed, pair_phases is None)
+
+
+def _gaussian_times(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_product_coefficients_are_the_elementary_symmetric_sums(m):
+    # Gaussian-integer spinors keep every float product exact, so the
+    # compiled coefficients must equal the int sums over subsets S of the
+    # factors: coefficient r is sum_{|S| = r} prod_{k in S} w_k prod_{k not in S} z_k.
+    product = atiyah._product_coefficients(m)
+    assert product.__globals__["__builtins__"] == {}
+    rng = random.Random(m)
+    for _ in range(30):
+        spinors = [
+            tuple((rng.randint(-9, 9), rng.randint(-9, 9)) for _ in "zw") for _ in range(m)
+        ]
+        expected = []
+        for r in range(m + 1):
+            total = [0, 0]
+            for subset in combinations(range(m), r):
+                term = (1, 0)
+                for k, (z, w) in enumerate(spinors):
+                    term = _gaussian_times(term, w if k in subset else z)
+                total[0] += term[0]
+                total[1] += term[1]
+            expected.append(complex(*total))
+        flat = [complex(*part) for spinor in spinors for part in spinor]
+        assert product(*flat) == expected
 
 
 def test_five_and_six_point_determinants_are_finite():
@@ -392,7 +449,10 @@ def test_run_samples_worst_case_is_reproducible():
     stats = run_samples(4, 40, seed=12)
     replay = sample_config(4, stats.worst_seed, "generic")
     value = atiyah_det(replay)
-    margin = abs(value) / atiyah._pairwise_product(replay)
+    pair_product = 1.0
+    for p, q in combinations(replay, 2):
+        pair_product *= 2.0 * math.dist(p, q)
+    margin = abs(value) / pair_product
     assert math.isclose(margin, stats.min_pair_margin, rel_tol=1e-12)
 
 
@@ -436,6 +496,49 @@ def test_determinant_values_are_pinned_bitwise():
         phased = atiyah_det(points, pair_phases=_pin_phases(n))
         got = (plain.real.hex(), plain.imag.hex(), phased.real.hex(), phased.imag.hex())
         assert got == expected, (n, mode)
+
+
+# repr(run_samples(n, 200, seed=5, mode=mode)): worst index and seed,
+# deviations and margins.  Any change to the campaign loop must reproduce
+# these exactly.
+PINNED_CAMPAIGNS = {
+    (4, 'generic'): (
+        "SampleStats(n=4, mode='generic', count=200, tol=1e-08, margin_slack=1e-09, "
+        "checked=200, degenerate=0, line_deviation=None, triangle_deviation=None, "
+        "re_deviation=1.6927282350259331e-15, "
+        "im_sq_deviation=1.8787725061208915e-18, min_pair_margin=1.0503302821690645, "
+        "min_face_margin=1.0300060409060612, worst_index=121, worst_seed=5000136, "
+        "identity_violations=0, margin_violations=0)"
+    ),
+    (4, 'near-collinear'): (
+        "SampleStats(n=4, mode='near-collinear', count=200, tol=1e-08, "
+        "margin_slack=1e-09, checked=200, degenerate=0, line_deviation=None, "
+        "triangle_deviation=None, re_deviation=1.2396645029525692e-14, "
+        "im_sq_deviation=7.002994012115301e-18, min_pair_margin=1.0000002303627415, "
+        "min_face_margin=1.0000002381073685, worst_index=94, worst_seed=5000109, "
+        "identity_violations=0, margin_violations=0)"
+    ),
+    (4, 'near-coincident'): (
+        "SampleStats(n=4, mode='near-coincident', count=200, tol=1e-08, "
+        "margin_slack=1e-09, checked=200, degenerate=0, line_deviation=None, "
+        "triangle_deviation=None, re_deviation=1.3781798859601421e-11, "
+        "im_sq_deviation=2.307267175948776e-18, min_pair_margin=1.0012798385096058, "
+        "min_face_margin=1.0002074241838557, worst_index=162, worst_seed=5000177, "
+        "identity_violations=0, margin_violations=0)"
+    ),
+    (6, 'generic'): (
+        "SampleStats(n=6, mode='generic', count=200, tol=1e-08, margin_slack=1e-09, "
+        "checked=200, degenerate=0, line_deviation=None, triangle_deviation=None, "
+        "re_deviation=None, im_sq_deviation=None, "
+        "min_pair_margin=1.8086700916295728, min_face_margin=None, worst_index=159, "
+        "worst_seed=5000174, identity_violations=0, margin_violations=0)"
+    ),
+}
+
+
+def test_campaign_reports_are_pinned():
+    for (n, mode), expected in PINNED_CAMPAIGNS.items():
+        assert repr(run_samples(n, 200, seed=5, mode=mode)) == expected, (n, mode)
 
 
 def test_nan_evaluator_is_a_violation_not_a_pass(monkeypatch):

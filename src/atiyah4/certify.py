@@ -205,30 +205,6 @@ def load_certificate(path: str | Path) -> Certificate:
     )
 
 
-def save_certificate(cert: Certificate, path: str | Path) -> None:
-    """Write a certificate in the same format ``load_certificate`` reads."""
-    lines = [
-        f"id = {cert.cert_id}",
-        f"scale = {cert.scale}",
-        f"slot_mapping = {cert.slot_mapping}",
-        f"source = {cert.source}",
-    ]
-    lines.extend(f"note = {note}" for note in cert.notes)
-    lines.append("")
-    if cert.multiplier_terms:
-        lines.append("[multiplier_terms]")
-        for alpha, coeff in cert.multiplier_terms:
-            lines.append(f"alpha = [{', '.join(map(str, alpha))}]")
-            lines.append(f"coeff = {coeff}")
-        lines.append("")
-    lines.append("[terms]")
-    for alpha, coeff in cert.terms:
-        lines.append(f"alpha = [{', '.join(map(str, alpha))}]")
-        lines.append(f"coeff = {coeff}")
-    lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
-
-
 def bundled_certificate_dir() -> Path:
     """Directory of the certificate files shipped inside the package."""
     return Path(__file__).resolve().parent / "data" / "certificates"
@@ -247,25 +223,31 @@ def load_bundled(cert_id: str) -> Certificate:
 _SLOT_MAPPING = "(t1 t2 t3)(t4 t5 t6)(t7 t8 t9)(t10 t11 t12)"
 
 
-def _require_header(cert: Certificate, expected: str) -> None:
-    if cert.cert_id != expected:
-        raise ValueError(
-            f"certificate id mismatch: expected {expected!r}, got {cert.cert_id!r}"
-        )
+def _require_shape(cert: Certificate, cert_id: str, scale: int, order: int,
+                   multiplier_order: int | None = None) -> None:
+    """Refuse a certificate whose header or tables do not fit identity ``cert_id``.
+
+    A ``[multiplier_terms]`` section is required when the identity reads
+    one (of order ``multiplier_order``) and refused when it does not.
+    """
+    if cert.cert_id != cert_id:
+        raise ValueError(f"certificate id mismatch: expected {cert_id!r}, got {cert.cert_id!r}")
     if cert.slot_mapping != _SLOT_MAPPING:
         raise ValueError(
             f"slot mapping mismatch: expected {_SLOT_MAPPING!r}, got {cert.slot_mapping!r}"
         )
-
-
-def _require_orders(
-    terms: tuple[tuple[MultiIndex, int], ...], order: int, label: str
-) -> None:
-    for alpha, _ in terms:
-        if sum(alpha) != order:
-            raise ValueError(
-                f"{label} multi-index {alpha} has order {sum(alpha)}, expected {order}"
-            )
+    if cert.scale != scale:
+        raise ValueError(f"{cert_id} certificate must have scale {scale}, got {cert.scale}")
+    if bool(cert.multiplier_terms) != (multiplier_order is not None):
+        need = "takes no" if multiplier_order is None else "needs a"
+        raise ValueError(f"{cert_id} certificate {need} [multiplier_terms] section")
+    for label, terms, want in ((cert_id, cert.terms, order),
+                               (f"{cert_id} multiplier", cert.multiplier_terms, multiplier_order)):
+        for alpha, _ in terms:
+            if sum(alpha) != want:
+                raise ValueError(
+                    f"{label} multi-index {alpha} has order {sum(alpha)}, expected {want}"
+                )
 
 
 class ConstructionError(ValueError):
@@ -322,10 +304,7 @@ def _report(identity: str, residual: Poly, started: float) -> ResidualReport:
 def check_sec3(cert: Certificate) -> ResidualReport:
     """Degree-6 identity: 3 d4 = 188 p4 + 10 z4 + 4 n4 + 2 v4^2 + sum."""
     started = time.perf_counter()
-    _require_header(cert, "sec3-188/3")
-    if cert.scale != 3:
-        raise ValueError(f"sec3 certificate must have scale 3, got {cert.scale}")
-    _require_orders(cert.terms, 6, "sec3")
+    _require_shape(cert, "sec3-188/3", 3, 6)
     residual = _residual(
         "sec3",
         3 * catalog.d4()
@@ -341,10 +320,7 @@ def check_sec3(cert: Certificate) -> ResidualReport:
 def check_eq42(cert: Certificate) -> ResidualReport:
     """Degree-12 identity: 64 p4 m4 equals the averaged combination."""
     started = time.perf_counter()
-    _require_header(cert, "eq42")
-    if cert.scale != 64:
-        raise ValueError(f"eq42 certificate must have scale 64, got {cert.scale}")
-    _require_orders(cert.terms, 12, "eq42")
+    _require_shape(cert, "eq42", 64, 12)
     residual = _residual(
         "eq42",
         64 * (catalog.p4() * catalog.m4()),
@@ -360,13 +336,7 @@ def check_eq53(cert: Certificate) -> ResidualReport:
     av(P): it multiplies the mu table before the average, not after.
     """
     started = time.perf_counter()
-    _require_header(cert, "eq53")
-    if cert.scale != 128:
-        raise ValueError(f"eq53 certificate must have scale 128, got {cert.scale}")
-    if not cert.multiplier_terms:
-        raise ValueError("eq53 certificate needs a [multiplier_terms] section")
-    _require_orders(cert.multiplier_terms, 6, "eq53 multiplier")
-    _require_orders(cert.terms, 12, "eq53")
+    _require_shape(cert, "eq53", 128, 12, multiplier_order=6)
     multiplier = 4 * catalog.z4() + catalog.v4() ** 2
     _require_symmetric("eq53 multiplier 4 z4 + v4^2", multiplier)
     residual = _residual(

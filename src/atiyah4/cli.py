@@ -201,10 +201,7 @@ def _vectors34_check() -> dict:
 
 def cmd_verify(args) -> dict:
     cert_dir = resolve_cert_dir(args.certs)
-    if args.target == "all":
-        names = ["sec3", "eq42", "eq52", "eq53", "factorization", "vectors34"]
-    else:
-        names = [args.target]
+    names = VERIFY_TARGETS[1:] if args.target == "all" else [args.target]
 
     checks = []
     skip_deep = False

@@ -302,10 +302,8 @@ def _simplex(matrix: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff],
     for i in range(m):
         obj[n + i] = zero
     state, pivots = _iterate(tableau, obj, basis, n + m, exact, budget)
-    if state == "pivot cap":
+    if state != "optimal":  # unbounded only in float: FLOAT_TOL can empty a ratio test
         return state, basis, pivots
-    if state == "unbounded":  # cannot happen: objective bounded by 0
-        raise RuntimeError("phase 1 reported unbounded")
     if abs(obj[-1]) > tol:
         return "infeasible", basis, pivots
 
@@ -519,8 +517,6 @@ def upper_bound_check(problem: LpProblem) -> BoundReport:
     are reported rather than raised.
     """
     p4_value = math.prod(WITNESS)  # p4 = abcxyz
-    if p4_value <= 0:
-        raise RuntimeError("witness vector lost the d4 = 64 p4 anchor")
 
     def orbit_mean(members: Sequence[Mono]) -> Fraction:
         return Fraction(sum(math.prod(map(pow, WITNESS, m)) for m in members), len(members))

@@ -244,7 +244,10 @@ class Poly:
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, values: Iterable[Coeff]) -> Coeff:
-        """Exact evaluation at rational values, order ``a b c x y z``."""
+        """Evaluation at ``a b c x y z``: exact at rational values.
+
+        At floats it runs term by term in float, the reference of :func:`float_evaluator`.
+        """
         point = tuple(values)
         if len(point) != N_VARS:
             raise ValueError(f"expected {N_VARS} values, got {len(point)}")
@@ -256,24 +259,6 @@ class Poly:
                     term *= base ** exp
             total += term
         return normalize_coeff(total)
-
-    def evaluate_float(self, values: Iterable[float]) -> float:
-        """Floating-point evaluation, order ``a b c x y z``.
-
-        The term-by-term reference for :func:`float_evaluator`, which is
-        the fast path for evaluating one polynomial many times.
-        """
-        point = tuple(float(v) for v in values)
-        if len(point) != N_VARS:
-            raise ValueError(f"expected {N_VARS} values, got {len(point)}")
-        total = 0.0
-        for mono, coeff in self.terms.items():
-            term = float(coeff)
-            for base, exp in zip(point, mono):
-                if exp:
-                    term *= base ** exp
-            total += term
-        return total
 
     # -- comparison ------------------------------------------------------
 
@@ -405,7 +390,8 @@ def float_evaluator(poly: Poly) -> Callable[[Iterable[float]], float]:
     needs is a local computed once per call.  Coefficients are written as
     ``repr(float(c))``, which reads back as the same double; a factor 1.0
     is left out, which is exact.  The source text is built only from
-    variable names, ints and float reprs, and is compiled once.
+    variable names, ints and float reprs, and is compiled once.  Its
+    reference is :meth:`Poly.evaluate` at the same floats.
     """
     powers: set[tuple[str, int]] = set()
     body = _horner_text(list(poly.terms.items()), 0, powers) if poly.terms else "0.0"

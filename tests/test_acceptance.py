@@ -200,7 +200,7 @@ def test_criterion_9_property_suites():
     worst = 0.0
     for u in atiyah.geometric_distance_samples(1000, seed=SEED):
         vol2 = atiyah.volume_squared_scaled(u)
-        zv = z4.evaluate_float(u)
+        zv = z4.evaluate(map(float, u))
         worst = max(worst, abs(vol2 - zv) / abs(zv))
     volume_ok = worst <= 1e-9
 

@@ -428,7 +428,7 @@ def test_float_evaluator_matches_poly_evaluate_float():
     fast = atiyah._float_fn("d4")
     for i in range(25):
         u = distance_vector(*sample_config(4, i, "generic"))
-        assert math.isclose(fast(u), d4.evaluate_float(u), rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(fast(u), d4.evaluate(map(float, u)), rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_run_samples_small_campaigns():

@@ -21,7 +21,6 @@ from atiyah4.certify import (
     load_bundled,
     load_certificate,
     run_certificate_check,
-    save_certificate,
 )
 from atiyah4.polyring import Poly
 from atiyah4.symmetry import orbit_sum, sym_average
@@ -51,14 +50,6 @@ def test_corrections_are_documented_in_the_header():
     assert "768" in joined and "60" in joined
 
 
-def test_round_trip(tmp_path):
-    original = load_bundled("eq53")
-    path = tmp_path / "copy.cert"
-    save_certificate(original, path)
-    again = load_certificate(path)
-    assert again == original
-
-
 def test_loader_rejects_missing_header(tmp_path):
     path = tmp_path / "broken.cert"
     path.write_text("id = something\n\n[terms]\nalpha = [0,0,0,0,0,0,1,1,1,1,1,1]\ncoeff = 3\n")
@@ -66,35 +57,17 @@ def test_loader_rejects_missing_header(tmp_path):
         load_certificate(path)
 
 
-def test_loader_rejects_duplicate_alpha(tmp_path):
-    base = load_bundled("sec3-188/3")
-    dup = Certificate(
-        cert_id=base.cert_id,
-        scale=base.scale,
-        slot_mapping=base.slot_mapping,
-        source=base.source,
-        terms=base.terms + (base.terms[0],),
-    )
-    path = tmp_path / "dup.cert"
-    save_certificate(dup, path)
-    with pytest.raises(ValueError, match="duplicate"):
-        load_certificate(path)
-
-
 def test_loader_rejects_nonpositive_coeff(tmp_path):
-    base = load_bundled("sec3-188/3")
     path = tmp_path / "neg.cert"
-    save_certificate(base, path)
-    text = path.read_text().replace("coeff = ", "coeff = -", 1)
-    path.write_text(text)
+    text = (bundled_certificate_dir() / "sec3.cert").read_text()
+    path.write_text(text.replace("coeff = ", "coeff = -", 1))
     with pytest.raises(ValueError):
         load_certificate(path)
 
 
 def test_loader_reports_line_numbers(tmp_path):
     path = tmp_path / "mangled.cert"
-    save_certificate(load_bundled("sec3-188/3"), path)
-    lines = path.read_text().splitlines()
+    lines = (bundled_certificate_dir() / "sec3.cert").read_text().splitlines()
     lines.insert(len(lines) - 1, "alpha = [not, numbers]")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"mangled\.cert:\d+"):
@@ -270,6 +243,21 @@ def test_certificate_ids_are_enforced(tmp_path):
     )
     with pytest.raises(ValueError):
         check_sec3(wrong)
+
+
+def test_a_section_the_identity_does_not_read_is_refused():
+    stray = load_bundled("eq53").multiplier_terms
+    for check, cert_id in ((check_sec3, "sec3-188/3"), (check_eq42, "eq42")):
+        cert = dataclasses.replace(load_bundled(cert_id), multiplier_terms=stray)
+        with pytest.raises(ValueError, match=r"takes no \[multiplier_terms\] section"):
+            check(cert)
+    eq53 = load_bundled("eq53")
+    with pytest.raises(ValueError, match=r"needs a \[multiplier_terms\] section"):
+        check_eq53(dataclasses.replace(eq53, multiplier_terms=()))
+    (alpha, coeff), *rest = eq53.multiplier_terms
+    wrong_order = ((alpha[:-1] + (alpha[-1] + 93,), coeff), *rest)
+    with pytest.raises(ValueError, match="eq53 multiplier multi-index .* has order 99"):
+        check_eq53(dataclasses.replace(eq53, multiplier_terms=wrong_order))
 
 
 def _with_coeff_bumped(cert, section, index):

@@ -228,6 +228,19 @@ def test_certificate_in_another_slot_order_is_unusable(tmp_path, capsys):
     assert run_cli("--certs", str(tmp_path), "verify", "all") == 0
 
 
+def test_stray_multiplier_section_is_unusable(tmp_path, capsys):
+    # sec3 reads no multiplier, so a [multiplier_terms] section in its file is an error.
+    _copy_certs(tmp_path)
+    eq53 = (tmp_path / "eq53.cert").read_text()
+    block = eq53[eq53.index("[multiplier_terms]"):eq53.index("[terms]")]
+    path = tmp_path / "sec3.cert"
+    path.write_text(path.read_text() + "\n" + block)
+    assert run_cli("--json", "--certs", str(tmp_path), "verify", "sec3") == 1
+    (entry,) = json.loads(capsys.readouterr().out)["checks"]
+    assert entry["status"] == "fail"
+    assert entry["detail"].startswith("unusable certificate:")
+
+
 def test_skewed_fixed_side_is_a_construction_fault(monkeypatch, capsys):
     # The bundled sec3 certificate is sound; only catalog.n4 is broken.
     catalog.named_polynomials()  # fill the caches before n4 is replaced

@@ -124,6 +124,18 @@ def test_bad_float_basis_takes_the_exact_fallback(force, monkeypatch):
     assert solution.float_pivots == 0 and solution.pivots == solution.exact_pivots > 0
 
 
+def test_unbounded_float_phase_one_takes_the_exact_fallback():
+    # 96 is d4's largest orbit total, so every entry of this column is at
+    # most 5e-10, below FLOAT_TOL: the float ratio test finds no row.
+    eps = Fraction(5, 10**10) / 96
+    solution = solve(build_program([("tiny", catalog.d4().scale(eps))]))
+    assert solution.status == "optimal"
+    assert solution.objective == 0
+    assert solution.multipliers == {"tiny": 1 / eps}
+    assert solution.route == "exact-fallback"
+    assert solution.certificate == "rejected: float pass ended unbounded"
+
+
 def test_exact_basis_that_fails_its_certificate_raises(monkeypatch):
     # The fallback's "optimal" is judged by the same certificate as the
     # float pass's; a rejected exact basis is a defect, not a result.

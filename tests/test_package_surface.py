@@ -3,8 +3,9 @@
 Every public top-level function and class must be loaded somewhere in the
 package outside its own definition, or be hooked by the benchmark tracer
 (``perfbench/spans.py``), or be pinned below with the reason it stays.
-Every private one must be loaded somewhere in the package, with no
-exceptions.  A helper only tests call belongs in the test file that uses it.
+Every private one, and every non-dunder method of a class, must be loaded
+somewhere in the package, with no exceptions.  A helper only tests call
+belongs in the test file that uses it.
 """
 
 import ast
@@ -21,7 +22,6 @@ KEPT_UNUSED = {
     "is_skew_symmetric": "acceptance criterion 9 checks that w4 and v4 are skew with it",
     "monomial": "public ring API next to variable and constant",
     "permute_tuple": "public action API: one relabelling applied to a point",
-    "save_certificate": "the writer that bundled LP certificates will need",
     "self_test": "acceptance criterion 9 re-derives the group table with it",
 }
 
@@ -81,3 +81,18 @@ def test_every_private_name_is_run():
     assert private
     assert private - loaded == set()
 
+
+
+def test_every_method_is_run():
+    _, loaded = _defined_and_loaded()
+    methods = {
+        f"{cls.name}.{item.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("__")
+    }
+    assert methods
+    assert {m for m in methods if m.split(".")[1] not in loaded} == set()

@@ -82,21 +82,16 @@ def hopf_lift(vector: Sequence[float]) -> Spinor:
     return (z, w)
 
 
-def paired_lift(i: int, j: int, lift_ij: Spinor) -> Spinor:
+def paired_lift(lift: Spinor) -> Spinor:
     """Partner lift for the reversed pair: (z, w) becomes (-conj(w), conj(z)).
 
-    The convention applies to pairs taken with i < j; the returned spinor
-    lifts the opposite direction, h(paired) = -h(lift).
+    The returned spinor lifts the opposite direction, h(paired) = -h(lift).
     """
-    if not i < j:
-        raise ValueError("pairing convention expects i < j")
-    z, w = lift_ij
+    z, w = lift
     return (-w.conjugate(), z.conjugate())
 
 
-def atiyah_matrix(
-    points: Sequence[Point3], pair_phases: Sequence[complex] | None = None
-) -> list[list[complex]]:
+def atiyah_matrix(points: Sequence[Point3]) -> list[list[complex]]:
     """Matrix whose column j holds the coefficients of observer j's form.
 
     Column j is the plain (unweighted) coefficient vector of
@@ -104,32 +99,23 @@ def atiyah_matrix(
     ..., eta^(n-1).  Lifts are built once per unordered pair i < j: the
     lift joins observer i's factors and its partner for the reversed
     direction joins observer j's, so each observer gets its factors in
-    ascending k.  The product is ``_product_coefficients(n - 1)``.
-
-    ``pair_phases`` optionally multiplies the lift of each pair (in
-    combinations order) by a unit-modulus factor; the determinant must not
-    care, which is exactly what the phase-invariance tests exercise.
+    ascending k.  The product is ``_product_coefficients(n - 1)``.  A lift
+    is fixed only up to phase, and the determinant does not depend on it.
     """
     n = len(points)
     if not 2 <= n <= 6:
         raise ValueError("supported point counts are 2..6")
     if not all(map(math.isfinite, chain.from_iterable(points))):
         raise ValueError("point coordinates must be finite")
-    pairs = list(combinations(range(n), 2))
-    if pair_phases is not None and len(pair_phases) != len(pairs):
-        raise ValueError(f"expected {len(pairs)} pair phases, got {len(pair_phases)}")
     factors: list[list[complex]] = [[] for _ in range(n)]
-    for index, (i, j) in enumerate(pairs):
+    for i, j in combinations(range(n), 2):
         p, q = points[i], points[j]
         try:
-            z, w = hopf_lift((q[0] - p[0], q[1] - p[1], q[2] - p[2]))
+            lift = hopf_lift((q[0] - p[0], q[1] - p[1], q[2] - p[2]))
         except ValueError:
             raise ValueError(f"points {i} and {j} coincide") from None
-        if pair_phases is not None:
-            lam = complex(pair_phases[index])
-            z, w = lam * z, lam * w
-        factors[i] += (z, w)
-        factors[j] += paired_lift(i, j, (z, w))
+        factors[i] += lift
+        factors[j] += paired_lift(lift)
     product = _product_coefficients(n - 1)
     # A list, not a generator: zip(*generator) shrinks an argument tuple
     # built at a guessed size, which parks one n-tuple per call on the
@@ -190,10 +176,8 @@ def _det_complex(matrix: list[list[complex]]) -> complex:
     return det
 
 
-def atiyah_det(
-    points: Sequence[Point3], pair_phases: Sequence[complex] | None = None
-) -> complex:
-    return _det_complex(atiyah_matrix(points, pair_phases))
+def atiyah_det(points: Sequence[Point3]) -> complex:
+    return _det_complex(atiyah_matrix(points))
 
 
 def _min_separation(points: Sequence[Point3]) -> float:

@@ -36,13 +36,6 @@ from .symmetry import orbit_sum  # noqa: F401  (perfbench/spans.py traces it her
 
 WORST_MONOMIALS_SHOWN = 10
 
-#: certificate id -> conventional file name inside a certificate directory
-CERT_FILES = {
-    "sec3-188/3": "sec3.cert",
-    "eq42": "eq42.cert",
-    "eq53": "eq53.cert",
-}
-
 _HEADER_KEYS = ("id", "scale", "slot_mapping", "source", "note")
 
 
@@ -210,12 +203,6 @@ def bundled_certificate_dir() -> Path:
     return Path(__file__).resolve().parent / "data" / "certificates"
 
 
-def load_bundled(cert_id: str) -> Certificate:
-    if cert_id not in CERT_FILES:
-        raise ValueError(f"unknown certificate id {cert_id!r}")
-    return load_certificate(bundled_certificate_dir() / CERT_FILES[cert_id])
-
-
 # -- residual machinery ------------------------------------------------------
 
 
@@ -375,12 +362,12 @@ CHECKS_WITH_CERTIFICATES = {
 
 
 def run_certificate_check(name: str, cert_dir: str | Path | None = None) -> ResidualReport:
-    """Load the certificate for ``name`` (sec3 | eq42 | eq53) and check it."""
+    """Check ``name`` (sec3 | eq42 | eq53) against ``<name>.cert`` in ``cert_dir``.
+
+    ``cert_dir`` defaults to the bundled certificates.
+    """
     if name not in CHECKS_WITH_CERTIFICATES:
         raise ValueError(f"unknown certificate check {name!r}")
-    cert_id, checker = CHECKS_WITH_CERTIFICATES[name]
-    if cert_dir is None:
-        cert = load_bundled(cert_id)
-    else:
-        cert = load_certificate(Path(cert_dir) / CERT_FILES[cert_id])
-    return checker(cert)
+    _, checker = CHECKS_WITH_CERTIFICATES[name]
+    directory = bundled_certificate_dir() if cert_dir is None else Path(cert_dir)
+    return checker(load_certificate(directory / f"{name}.cert"))

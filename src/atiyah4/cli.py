@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -50,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1e-8,
         metavar="T",
-        help="relative tolerance for numeric comparisons, finite and positive "
-        "(default 1e-8)",
+        help="relative tolerance for numeric comparisons, in (0, 1) (default 1e-8)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, metavar="S", help="campaign seed (default 0)"
@@ -416,8 +414,10 @@ def _print_report(report: dict, as_json: bool) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            raise UsageError(f"--tol must be a finite positive number, got {args.tol!r}")
+        # Against evaluators that return 0, both n = 4 deviations are at
+        # most 1, so a tolerance of 1 or more would pass them.
+        if not 0 < args.tol < 1:
+            raise UsageError(f"--tol must be a finite positive number below 1, got {args.tol!r}")
         if args.command == "verify":
             report = cmd_verify(args)
         elif args.command == "lp":

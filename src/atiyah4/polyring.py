@@ -48,7 +48,6 @@ FACES = tuple(
     tuple(k for k, edge in enumerate(EDGES) if set(edge) <= face)
     for face in [{p, q, 3} for p, q in EDGES if 3 not in (p, q)] + [{0, 1, 2}]
 )
-_VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
 _ZERO_MONO: Mono = (0, 0, 0, 0, 0, 0)
 
 
@@ -82,7 +81,7 @@ class Poly:
     :func:`constant` and :func:`monomial` build the common cases.
     """
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Mono, Coeff] | None = None):
         normalized: dict[Mono, Coeff] = {}
@@ -95,14 +94,12 @@ class Poly:
                 if coeff:
                     normalized[mono] = coeff
         self.terms = normalized
-        self._key: tuple | None = None
 
     @classmethod
     def _raw(cls, terms: dict[Mono, Coeff]) -> "Poly":
         """Wrap an already-normalized dict without copying.  Internal."""
         poly = cls.__new__(cls)
         poly.terms = terms
-        poly._key = None
         return poly
 
     # -- queries ---------------------------------------------------------
@@ -119,29 +116,13 @@ class Poly:
             return None
         return max(map(sum, self.terms))
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        """True if every term has the same total degree.
-
-        The zero polynomial counts as homogeneous of every degree.  When
-        ``degree`` is given, additionally require that common degree to
-        equal it.
-        """
-        if not self.terms:
-            return True
-        degrees = {sum(m) for m in self.terms}
-        if len(degrees) != 1:
-            return False
-        return degree is None or degrees == {degree}
+    def is_homogeneous(self, degree: int) -> bool:
+        """True if every term has total degree ``degree``; the zero polynomial is."""
+        return all(sum(m) == degree for m in self.terms)
 
     def sorted_terms(self) -> list[tuple[Mono, Coeff]]:
         """Terms in descending graded-lex order (leading term first)."""
         return sorted(self.terms.items(), key=lambda item: mono_key(item[0]), reverse=True)
-
-    def canonical_key(self) -> tuple:
-        """A hashable value equal for equal polynomials; cached."""
-        if self._key is None:
-            self._key = tuple(self.sorted_terms())
-        return self._key
 
     # -- arithmetic ------------------------------------------------------
 
@@ -267,9 +248,6 @@ class Poly:
             return self.terms == other.terms
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.canonical_key())
-
     def __repr__(self) -> str:
         if not self.terms:
             return "Poly(0)"
@@ -354,23 +332,17 @@ def constant(value: Coeff) -> Poly:
     return Poly._raw({_ZERO_MONO: value})
 
 
-def variable(name_or_index: str | int) -> Poly:
-    """The polynomial for a single variable, by name ('a'..'z') or index."""
-    if isinstance(name_or_index, str):
-        if name_or_index not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name_or_index!r}")
-        index = _VAR_INDEX[name_or_index]
-    else:
-        index = name_or_index
-        if not 0 <= index < N_VARS:
-            raise ValueError(f"variable index {index} out of range")
-    mono = tuple(1 if i == index else 0 for i in range(N_VARS))
+def variable(name: str) -> Poly:
+    """The polynomial for one variable, by name (one of ``VAR_NAMES``)."""
+    if name not in VAR_NAMES:
+        raise ValueError(f"unknown variable {name!r}")
+    mono = tuple(int(v == name) for v in VAR_NAMES)
     return Poly._raw({mono: 1})
 
 
 def variables() -> tuple[Poly, ...]:
     """The six variable polynomials in order (a, b, c, x, y, z)."""
-    return tuple(variable(i) for i in range(N_VARS))
+    return tuple(map(variable, VAR_NAMES))
 
 
 def monomial(mono: Mono, coeff: Coeff = 1) -> Poly:

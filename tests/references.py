@@ -40,7 +40,7 @@ def reference_atiyah_matrix(points, pair_phases=None):
             lam = complex(pair_phases[index])
             z, w = lam * z, lam * w
         lifts[i][j] = (z, w)
-        lifts[j][i] = paired_lift(i, j, (z, w))
+        lifts[j][i] = paired_lift((z, w))
     columns = []
     for j, row_lifts in enumerate(lifts):
         coeffs = [complex(1.0)]

@@ -49,7 +49,7 @@ def test_hopf_lift_round_trip(v):
 @given(vectors)
 def test_paired_lift_flips_the_direction(v):
     s = hopf_lift(v)
-    back = hopf_map(paired_lift(0, 1, s))
+    back = hopf_map(paired_lift(s))
     assert math.dist(tuple(-c for c in v), back) <= 1e-12 * math.hypot(*v)
 
 
@@ -65,11 +65,6 @@ def test_lift_branch_examples():
 def test_lift_rejects_zero_vector():
     with pytest.raises(ValueError):
         hopf_lift((0.0, 0.0, 0.0))
-
-
-def test_paired_lift_needs_ordered_indices():
-    with pytest.raises(ValueError):
-        paired_lift(2, 1, (1 + 0j, 0j))
 
 
 def test_two_point_matrix_and_determinant():
@@ -166,19 +161,17 @@ def test_determinant_rejects_bad_input():
 
 
 def test_phase_choices_do_not_move_the_determinant():
-    points = sample_config(4, 1234, "generic")
-    base = atiyah_det(points)
+    # The lifts are fixed only up to phase; the reference takes the phases.
     rng = random.Random(5)
-    phases = [cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(6)]
-    rephased = atiyah_det(points, pair_phases=phases)
-    assert abs(abs(rephased) - abs(base)) <= 1e-9 * abs(base)
-    assert abs(rephased - base) <= 1e-9 * abs(base)
-
-
-def test_phase_list_length_is_checked():
-    points = sample_config(4, 1, "generic")
-    with pytest.raises(ValueError, match=r"^expected 6 pair phases, got 1$"):
-        atiyah_det(points, pair_phases=[1 + 0j])
+    for n in range(2, 7):
+        for mode in atiyah.MODES:
+            points = sample_config(n, 1234, mode)
+            base = atiyah_det(points)
+            phases = [cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                      for _ in range(n * (n - 1) // 2)]
+            rephased = atiyah._det_complex(reference_atiyah_matrix(points, phases))
+            assert abs(abs(rephased) - abs(base)) <= 1e-9 * abs(base), (n, mode)
+            assert abs(rephased - base) <= 1e-9 * abs(base), (n, mode)
 
 
 def test_permutation_invariance():
@@ -216,14 +209,11 @@ def test_matrix_matches_the_reference_loop_bitwise():
         return [(e.real.hex(), e.imag.hex()) for row in matrix for e in row]
 
     for n in range(2, 7):
-        phases = _pin_phases(n)
         for mode in atiyah.MODES:
             for seed in range(50):
                 points = sample_config(n, seed, mode)
-                for pair_phases in (None, phases):
-                    got = hexes(atiyah_matrix(points, pair_phases))
-                    want = hexes(reference_atiyah_matrix(points, pair_phases))
-                    assert got == want, (n, mode, seed, pair_phases is None)
+                got = hexes(atiyah_matrix(points))
+                assert got == hexes(reference_atiyah_matrix(points)), (n, mode, seed)
 
 
 def _gaussian_times(a, b):
@@ -457,8 +447,8 @@ def test_run_samples_worst_case_is_reproducible():
 
 
 # atiyah_det(sample_config(n, 20 + n, mode)) as float.hex strings:
-# (Re, Im) plain, then (Re, Im) with _pin_phases(n).  Any change to the
-# determinant path must reproduce these bit for bit.
+# (Re, Im) plain, then (Re, Im) of the reference matrix with _pin_phases(n).
+# Any change to the determinant path must reproduce these bit for bit.
 PINNED_DETERMINANTS = {
     (2, 'generic'): ('0x1.d25ee45005080p-2', '0x1.1c6869f6f38c9p-57', '0x1.d25ee45005080p-2', '0x0.0p+0'),
     (2, 'near-planar'): ('0x1.44d5e5d2ef553p+2', '0x1.0cb51c3431b96p-63', '0x1.44d5e5d2ef552p+2', '0x0.0p+0'),
@@ -493,7 +483,7 @@ def test_determinant_values_are_pinned_bitwise():
     for (n, mode), expected in PINNED_DETERMINANTS.items():
         points = sample_config(n, 20 + n, mode)
         plain = atiyah_det(points)
-        phased = atiyah_det(points, pair_phases=_pin_phases(n))
+        phased = atiyah._det_complex(reference_atiyah_matrix(points, _pin_phases(n)))
         got = (plain.real.hex(), plain.imag.hex(), phased.real.hex(), phased.imag.hex())
         assert got == expected, (n, mode)
 
@@ -562,7 +552,7 @@ def test_bad_face_product_is_a_violation(monkeypatch, face):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_nan_determinant_is_a_violation(monkeypatch, n):
-    def nan_det(points, pair_phases=None):
+    def nan_det(points):
         return complex(math.nan, 0.0)
 
     monkeypatch.setattr(atiyah, "atiyah_det", nan_det)
@@ -578,7 +568,7 @@ def test_nan_determinant_is_a_violation(monkeypatch, n):
 
 
 def test_infinite_determinant_is_a_violation(monkeypatch):
-    def inf_det(points, pair_phases=None):
+    def inf_det(points):
         return complex(math.inf, 0.0)
 
     monkeypatch.setattr(atiyah, "atiyah_det", inf_det)

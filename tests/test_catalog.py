@@ -301,7 +301,7 @@ def test_enumerate_T_small_orders():
 
     degree_two = [(alpha, average_of_totals(vector)) for alpha, vector in catalog.enumerate_T(2)]
     assert all(sum(alpha) == 2 for alpha, _ in degree_two)
-    keys = {poly.canonical_key() for _, poly in degree_two}
+    keys = {tuple(poly.sorted_terms()) for _, poly in degree_two}
     assert len(keys) == len(degree_two)
 
 
@@ -310,7 +310,7 @@ def reference_enumerate_T(order):
 
     Canonical means the largest of the 24 slot images; the average is the
     mean of the 24 permuted polynomials; a column is kept unless an earlier
-    kept column has the same ``canonical_key()``.
+    kept column has the same ``sorted_terms()``.
     """
     action = catalog.t_slot_action()
     kept = {}
@@ -328,7 +328,7 @@ def reference_enumerate_T(order):
         for i in range(1, GROUP_ORDER):
             total = total + apply_perm(expanded, i)
         averaged = total.scale(Fraction(1, GROUP_ORDER))
-        kept.setdefault(averaged.canonical_key(), (alpha, averaged))
+        kept.setdefault(tuple(averaged.sorted_terms()), (alpha, averaged))
     return list(kept.values())
 
 
@@ -338,8 +338,8 @@ def test_enumerate_T_matches_the_reference(order):
     reference = reference_enumerate_T(order)
     assert [alpha for alpha, _ in columns] == [alpha for alpha, _ in reference]
     # repr tells an int coefficient from an integral Fraction
-    assert [repr(poly.canonical_key()) for _, poly in columns] == [
-        repr(poly.canonical_key()) for _, poly in reference
+    assert [repr(tuple(poly.sorted_terms())) for _, poly in columns] == [
+        repr(tuple(poly.sorted_terms())) for _, poly in reference
     ]
 
 
@@ -357,12 +357,12 @@ def test_enumerate_T_six_is_frozen(t6_columns):
     assert len(t6_columns) == 517
     assert all(sum(alpha) == 6 for alpha, _ in t6_columns)
     assert all(poly.is_homogeneous(6) for _, poly in t6_columns)
-    keys = {poly.canonical_key() for _, poly in t6_columns}
+    keys = {tuple(poly.sorted_terms()) for _, poly in t6_columns}
     assert len(keys) == 517
     assert all(alpha == alpha_canonical(alpha) for alpha, _ in t6_columns)
 
 
-#: sha256 over repr((alpha, canonical_key)) of every enumerate_T(6) column,
+#: sha256 over repr((alpha, tuple(sorted_terms))) of every enumerate_T(6) column,
 #: in order, as first computed with the 24-image orbit sum.
 T6_DIGEST = "5ed87df68601cbd55594a62dabcdbb96f29571c4bcd9406b4c780fd15740faa7"
 
@@ -370,7 +370,7 @@ T6_DIGEST = "5ed87df68601cbd55594a62dabcdbb96f29571c4bcd9406b4c780fd15740faa7"
 def test_enumerate_T_six_digest_is_pinned(t6_columns):
     digest = hashlib.sha256()
     for alpha, poly in t6_columns:
-        digest.update(repr((alpha, poly.canonical_key())).encode())
+        digest.update(repr((alpha, tuple(poly.sorted_terms()))).encode())
     assert digest.hexdigest() == T6_DIGEST
 
 

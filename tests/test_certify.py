@@ -18,12 +18,16 @@ from atiyah4.certify import (
     check_eq53,
     check_sec3,
     combination_orbit_sum,
-    load_bundled,
     load_certificate,
     run_certificate_check,
 )
 from atiyah4.polyring import Poly
 from atiyah4.symmetry import orbit_sum, sym_average
+
+
+def load_bundled(name):
+    """The bundled certificate ``<name>.cert``."""
+    return load_certificate(bundled_certificate_dir() / f"{name}.cert")
 
 
 def test_bundled_directory_has_all_files():
@@ -33,7 +37,7 @@ def test_bundled_directory_has_all_files():
 
 
 def test_bundled_term_counts():
-    sec3 = load_bundled("sec3-188/3")
+    sec3 = load_bundled("sec3")
     eq42 = load_bundled("eq42")
     eq53 = load_bundled("eq53")
     assert len(sec3.terms) == 6 and sec3.scale == 3
@@ -195,7 +199,7 @@ def test_eq52_rearrangement_is_exactly_zero():
 
 
 def test_perturbed_certificate_localizes_the_error():
-    base = load_bundled("sec3-188/3")
+    base = load_bundled("sec3")
     alpha, coeff = base.terms[2]
     tampered = Certificate(
         cert_id=base.cert_id,
@@ -233,7 +237,7 @@ def test_external_directory_wins_over_bundled(tmp_path):
 
 
 def test_certificate_ids_are_enforced(tmp_path):
-    base = load_bundled("sec3-188/3")
+    base = load_bundled("sec3")
     wrong = Certificate(
         cert_id="eq42",
         scale=base.scale,
@@ -247,8 +251,8 @@ def test_certificate_ids_are_enforced(tmp_path):
 
 def test_a_section_the_identity_does_not_read_is_refused():
     stray = load_bundled("eq53").multiplier_terms
-    for check, cert_id in ((check_sec3, "sec3-188/3"), (check_eq42, "eq42")):
-        cert = dataclasses.replace(load_bundled(cert_id), multiplier_terms=stray)
+    for check, name in ((check_sec3, "sec3"), (check_eq42, "eq42")):
+        cert = dataclasses.replace(load_bundled(name), multiplier_terms=stray)
         with pytest.raises(ValueError, match=r"takes no \[multiplier_terms\] section"):
             check(cert)
     eq53 = load_bundled("eq53")
@@ -268,10 +272,10 @@ def _with_coeff_bumped(cert, section, index):
 
 
 @pytest.mark.parametrize(
-    "cert_id, rows", [("sec3-188/3", slice(None)), ("eq42", slice(0, 10))]
+    "name, rows", [("sec3", slice(None)), ("eq42", slice(0, 10))]
 )
-def test_table_sum_equals_sum_of_row_orbit_sums(cert_id, rows):
-    terms = load_bundled(cert_id).terms[rows]
+def test_table_sum_equals_sum_of_row_orbit_sums(name, rows):
+    terms = load_bundled(name).terms[rows]
     expected = Poly({})
     for alpha, lam in terms:
         expected = expected + lam * orbit_sum(catalog.t_alpha_expand(alpha))
@@ -279,11 +283,11 @@ def test_table_sum_equals_sum_of_row_orbit_sums(cert_id, rows):
 
 
 @pytest.mark.parametrize(
-    "cert_id, section",
+    "name, section",
     [("eq42", "terms"), ("eq53", "multiplier_terms"), ("eq53", "terms")],
 )
-def test_face_horner_sum_equals_row_by_row_sum(cert_id, section):
-    terms = getattr(load_bundled(cert_id), section)
+def test_face_horner_sum_equals_row_by_row_sum(name, section):
+    terms = getattr(load_bundled(name), section)
     expected = Poly({})
     for alpha, lam in terms:
         expected = expected + lam * catalog.t_alpha_expand(alpha)

@@ -139,12 +139,22 @@ def test_lp_flag_validation(monkeypatch, capsys):
     assert requested == [[]]
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1", "1e300"])
 def test_tolerance_must_be_finite_and_positive(tol, capsys):
     assert run_cli("--tol", tol, "sample", "--count", "50") == 2
     captured = capsys.readouterr()
     assert "--tol must be a finite positive number" in captured.err
     assert "overall" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [("sample", "--count", "50"), ("verify", "factorization")])
+@pytest.mark.parametrize("tol, code", [("1e-8", 1), ("0.5", 1), ("1", 2)])
+def test_zero_evaluators_never_pass(monkeypatch, argv, tol, code):
+    # d4 = w4 = z4 = 0 keeps both n = 4 deviations at or below 1.
+    from atiyah4 import atiyah
+
+    monkeypatch.setattr(atiyah, "_float_fn", lambda name: lambda u: 0.0)
+    assert run_cli("--tol", tol, *argv) == code
 
 
 def test_lp_report_carries_the_route(monkeypatch, capsys):

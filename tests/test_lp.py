@@ -72,7 +72,7 @@ def test_unbounded_program_is_detected():
 
 
 def sec3_basis():
-    cert = certify.load_bundled("sec3-188/3")
+    cert = certify.load_certificate(certify.bundled_certificate_dir() / "sec3.cert")
     basis = [
         ("z4", catalog.z4()),
         ("n4", catalog.n4()),

@@ -4,8 +4,10 @@ Every public top-level function and class must be loaded somewhere in the
 package outside its own definition, or be hooked by the benchmark tracer
 (``perfbench/spans.py``), or be pinned below with the reason it stays.
 Every private one, and every non-dunder method of a class, must be loaded
-somewhere in the package, with no exceptions.  A helper only tests call
-belongs in the test file that uses it.
+somewhere in the package, with no exceptions.  Every defaulted parameter
+must be passed at some call in the package, or be pinned below with its
+reason.  A helper only tests call belongs in the test file that uses it,
+and an input form only tests use belongs in the tests' references.
 """
 
 import ast
@@ -25,7 +27,16 @@ KEPT_UNUSED = {
     "self_test": "acceptance criterion 9 re-derives the group table with it",
 }
 
+#: Defaulted parameters no call in the package passes, each with the reason it stays.
+KEPT_DEFAULTS = {
+    "run_samples.margin_slack": "acceptance criterion 7 passes it",
+    "geometric_distance_samples.seed": "acceptance criterion 9 passes it",
+    "main.argv": "perfbench and the tests call cli.main(argv)",
+    "monomial.coeff": "monomial is in KEPT_UNUSED",
+}
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _defined_and_loaded() -> tuple[set[str], set[str]]:
@@ -96,3 +107,64 @@ def test_every_method_is_run():
     }
     assert methods
     assert {m for m in methods if m.split(".")[1] not in loaded} == set()
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, int | None, str]]:
+    """(callee, position, name) of every defaulted parameter in ``tree``.
+
+    The callee is the bare function name, or the class name for
+    ``__init__``; the position skips ``self``, and is None for a
+    keyword-only parameter.
+    """
+    found = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, _FUNCTIONS):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if owner is not None and not static else 0
+                callee = owner if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                for k in range(first, len(positional)):
+                    found.append((callee, k - skip, positional[k].arg))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((callee, None, arg.arg))
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_or_pinned():
+    parameters, calls = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parameters += _defaulted_parameters(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.append((callee, node))
+    assert parameters
+    unpassed = {
+        f"{callee}.{name}"
+        for callee, position, name in parameters
+        if not any(c == callee and _passes(call, position, name) for c, call in calls)
+    }
+    assert unpassed == set(KEPT_DEFAULTS)

@@ -227,10 +227,11 @@ def test_degree_and_homogeneity():
     assert zero().degree() is None
     assert constant(5).degree() == 0
     assert (a * b + c * z).degree() == 2
-    assert (a * b + c * z).is_homogeneous()
     assert (a * b + c * z).is_homogeneous(2)
-    assert not (a + a * b).is_homogeneous()
+    assert not (a + a * b).is_homogeneous(1)
+    assert not (a + a * b).is_homogeneous(2)
     assert not (a * b).is_homogeneous(3)
+    assert zero().is_homogeneous(4)
 
 
 def test_sorted_terms_graded_lex_descending():
@@ -241,12 +242,11 @@ def test_sorted_terms_graded_lex_descending():
     assert p.sorted_terms()[-1][0] == (0,) * 6
 
 
-def test_variable_accepts_name_and_index():
-    assert variable("x") == variable(3)
-    with pytest.raises(ValueError):
-        variable("q")
-    with pytest.raises(ValueError):
-        variable(6)
+def test_variable_takes_a_name():
+    assert variable("x") == Poly({(0, 0, 0, 1, 0, 0): 1})
+    for bad in ("q", 3):
+        with pytest.raises(ValueError, match="unknown variable"):
+            variable(bad)
 
 
 def test_monomial_and_from_terms():

@@ -15,7 +15,9 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import atiyah, catalog, certify, lp
 
@@ -23,8 +25,6 @@ from . import atiyah, catalog, certify, lp
 class UsageError(Exception):
     """Bad flags, unknown names, or missing resources; exit code 2."""
 
-
-VERIFY_TARGETS = ("all", "sec3", "eq42", "eq52", "eq53", "factorization", "vectors34")
 
 #: Sample count used by ``verify factorization``; the full campaign sits
 #: behind the ``sample`` command.
@@ -66,9 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lp = sub.add_parser("lp", help="solve a bounding linear program exactly")
     p_lp.add_argument(
-        "--basis", default="t6", help="base column family (only t6 is defined)"
-    )
-    p_lp.add_argument(
         "--extra",
         default="",
         metavar="NAMES",
@@ -106,21 +103,33 @@ def resolve_cert_dir(flag: str | None) -> Path | None:
     return None
 
 
-def _check_entry(name: str, status: str, elapsed: float, detail: str, **extra):
-    entry = {
-        "name": name,
-        "status": status,
-        "elapsed_ms": int(elapsed * 1000),
-        "detail": detail,
-    }
-    entry.update(extra)
+def _entry(name: str, check: Callable[[], tuple]) -> dict:
+    """Run ``check`` and build its report entry; ``elapsed_ms`` times the whole call.
+
+    ``check`` returns ``(status, detail)`` or ``(status, detail, fields)``,
+    where a bool status reads as pass or fail.
+    """
+    started = time.perf_counter()
+    status, detail, *fields = check()
+    elapsed_ms = _ms_since(started)
+    if isinstance(status, bool):
+        status = "pass" if status else "fail"
+    entry = {"name": name, "status": status, "elapsed_ms": elapsed_ms, "detail": detail}
+    entry.update(*fields)
     return entry
 
 
-def _certificate_check(name: str, cert_dir: Path | None) -> dict:
-    started = time.perf_counter()
+def _ms_since(started: float) -> int:
+    return int((time.perf_counter() - started) * 1000)
+
+
+def _verdict(report: certify.ResidualReport) -> tuple[bool, str]:
+    return report.passed, report.summary()
+
+
+def _certificate_check(name: str, cert_dir: Path | None) -> tuple[bool, str]:
     try:
-        report = certify.run_certificate_check(name, cert_dir)
+        return _verdict(certify.run_certificate_check(name, cert_dir))
     except FileNotFoundError as exc:
         raise UsageError(f"missing certificate file: {exc.filename}") from exc
     except OSError as exc:
@@ -128,27 +137,13 @@ def _certificate_check(name: str, cert_dir: Path | None) -> dict:
             f"cannot read certificate file {exc.filename}: {exc.strerror}"
         ) from exc
     except certify.ConstructionError as exc:
-        return _check_entry(
-            name, "fail", time.perf_counter() - started, f"construction fault: {exc}"
-        )
+        return False, f"construction fault: {exc}"
     except ValueError as exc:
-        return _check_entry(
-            name, "fail", time.perf_counter() - started, f"unusable certificate: {exc}"
-        )
-    status = "pass" if report.passed else "fail"
-    return _check_entry(name, status, report.elapsed_seconds, report.summary())
+        return False, f"unusable certificate: {exc}"
 
 
-def _eq52_check() -> dict:
-    report = certify.check_eq52()
-    status = "pass" if report.passed else "fail"
-    return _check_entry("eq52", status, report.elapsed_seconds, report.summary())
-
-
-def _factorization_check(seed: int, tol: float) -> dict:
-    started = time.perf_counter()
+def _factorization_check(seed: int, tol: float) -> tuple[bool, str]:
     stats = atiyah.run_samples(4, FACTORIZATION_SAMPLES, seed=seed, tol=tol)
-    elapsed = time.perf_counter() - started
     # Any identity violation fails the check, so a NaN from the d4
     # evaluator cannot hide behind a clean Im figure.
     ok = stats.identity_violations == 0 and stats.degenerate == 0
@@ -157,11 +152,10 @@ def _factorization_check(seed: int, tol: float) -> dict:
         f"over {stats.checked} samples (tol {tol:g}), "
         f"{stats.identity_violations} identity violations"
     )
-    return _check_entry("factorization", "pass" if ok else "fail", elapsed, detail)
+    return ok, detail
 
 
-def _vectors34_check() -> dict:
-    started = time.perf_counter()
+def _vectors34_check() -> tuple[bool, str]:
     d4, p4, z4, v4, n4 = catalog.d4(), catalog.p4(), catalog.z4(), catalog.v4(), catalog.n4()
     vectors = atiyah.special_vectors()
     flat_count = atiyah.SPECIAL_FLAT_COUNT
@@ -192,48 +186,42 @@ def _vectors34_check() -> dict:
         f"{tight}/{len(vectors)} satisfy d4 = 64 p4; z4 and v4 vanish on all; "
         f"first {flat_count} have d4 = p4 = 0; d4({witness}) = {printed}"
     )
-    return _check_entry(
-        "vectors34", "pass" if ok else "fail", time.perf_counter() - started, detail
-    )
+    return ok, detail
 
 
-def cmd_verify(args) -> dict:
+#: verify target -> check(args, cert_dir).  Each check looks its ``certify``
+#: function up when it runs, so a wrapper put on the module is the one called.
+_VERIFY_CHECKS = {
+    "sec3": lambda args, cert_dir: _certificate_check("sec3", cert_dir),
+    "eq42": lambda args, cert_dir: _certificate_check("eq42", cert_dir),
+    "eq52": lambda args, cert_dir: _verdict(certify.check_eq52()),
+    "eq53": lambda args, cert_dir: _certificate_check("eq53", cert_dir),
+    "factorization": lambda args, cert_dir: _factorization_check(args.seed, args.tol),
+    "vectors34": lambda args, cert_dir: _vectors34_check(),
+}
+VERIFY_TARGETS = ("all", *_VERIFY_CHECKS)
+
+_SKIPPED = (
+    "skip",
+    "skipped: the base identity failed, so the shared averaging "
+    "machinery is suspect and deeper residuals would be noise",
+)
+
+
+def cmd_verify(args) -> tuple[str, list[dict]]:
     cert_dir = resolve_cert_dir(args.certs)
     names = VERIFY_TARGETS[1:] if args.target == "all" else [args.target]
 
-    checks = []
-    skip_deep = False
+    checks, skip_deep = [], False
     for name in names:
-        if skip_deep and name in ("eq42", "eq53"):
-            checks.append(
-                _check_entry(
-                    name,
-                    "skip",
-                    0.0,
-                    "skipped: the base identity failed, so the shared averaging "
-                    "machinery is suspect and deeper residuals would be noise",
-                )
-            )
-            continue
-        if name in certify.CHECKS_WITH_CERTIFICATES:
-            entry = _certificate_check(name, cert_dir)
-        elif name == "eq52":
-            entry = _eq52_check()
-        elif name == "factorization":
-            entry = _factorization_check(args.seed, args.tol)
-        else:
-            entry = _vectors34_check()
-        checks.append(entry)
-        if name == "sec3" and entry["status"] != "pass" and args.target == "all":
-            skip_deep = True
-
-    passed = all(c["status"] == "pass" for c in checks)
-    return {"command": f"verify {args.target}", "checks": checks, "passed": passed}
+        run = partial(_VERIFY_CHECKS[name], args, cert_dir)
+        skipped = skip_deep and name in ("eq42", "eq53")
+        checks.append(_entry(name, (lambda: _SKIPPED) if skipped else run))
+        skip_deep |= name == "sec3" and checks[-1]["status"] != "pass"
+    return f"verify {args.target}", checks
 
 
-def cmd_lp(args) -> dict:
-    if args.basis != "t6":
-        raise UsageError(f"unknown basis {args.basis!r}; only t6 is defined")
+def cmd_lp(args) -> tuple[str, list[dict]]:
     extras = [token.strip() for token in args.extra.split(",")]
     if extras == [""]:
         extras = []
@@ -244,35 +232,28 @@ def cmd_lp(args) -> dict:
         basis = lp.standard_basis(extras)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    basis_ms = int((time.perf_counter() - started) * 1000)
+    basis_ms = _ms_since(started)
+    problem = None
 
-    started = time.perf_counter()
-    problem = lp.build_program(basis)
-    solve_started = time.perf_counter()
-    solution = lp.solve(problem)
-    solve_ms = int((time.perf_counter() - solve_started) * 1000)
-    elapsed = time.perf_counter() - started
-
-    route = (
-        f"route {solution.route} ({solution.float_pivots} float + "
-        f"{solution.exact_pivots} exact pivots), certificate {solution.certificate}"
-    )
-    trace = {
-        "basis_ms": basis_ms,
-        "solve_ms": solve_ms,
-        "route": solution.route,
-        "float_pivots": solution.float_pivots,
-        "exact_pivots": solution.exact_pivots,
-        "certificate": solution.certificate,
-    }
-    checks = []
-    if solution.status != "optimal":
-        checks.append(
-            _check_entry(
-                "lp", "fail", elapsed, f"solver status: {solution.status}; {route}", **trace
-            )
+    def solve():
+        nonlocal problem
+        problem = lp.build_program(basis)
+        started = time.perf_counter()
+        solution = lp.solve(problem)
+        route = (
+            f"route {solution.route} ({solution.float_pivots} float + "
+            f"{solution.exact_pivots} exact pivots), certificate {solution.certificate}"
         )
-    else:
+        fields = {
+            "basis_ms": basis_ms,
+            "solve_ms": _ms_since(started),
+            "route": solution.route,
+            "float_pivots": solution.float_pivots,
+            "exact_pivots": solution.exact_pivots,
+            "certificate": solution.certificate,
+        }
+        if solution.status != "optimal":
+            return False, f"solver status: {solution.status}; {route}", fields
         # "optimal" means the certificate, matrix reconstruction included, held.
         combo_ok = lp.combination_polynomial(basis, solution) == catalog.d4()
         detail = (
@@ -280,75 +261,50 @@ def cmd_lp(args) -> dict:
             f"columns after {solution.pivots} pivots; matrix reconstruction ok, "
             f"polynomial reconstruction {'ok' if combo_ok else 'FAILED'}; {route}"
         )
-        checks.append(
-            _check_entry(
-                "lp",
-                "pass" if combo_ok else "fail",
-                elapsed,
-                detail,
-                alpha=str(solution.objective),
-                support={name: str(v) for name, v in sorted(solution.multipliers.items()) if v},
-                **trace,
-            )
-        )
+        fields["alpha"] = str(solution.objective)
+        fields["support"] = {name: str(v) for name, v in sorted(solution.multipliers.items()) if v}
+        return combo_ok, detail, fields
 
-    started = time.perf_counter()
-    ceiling = lp.upper_bound_check(problem)
-    c_elapsed = time.perf_counter() - started
-    c_ok = ceiling.applicable and ceiling.bound == 64
-    c_detail = (
-        f"objective ceiling {ceiling.bound} from witness {ceiling.witness}"
-        if ceiling.applicable
-        else "ceiling argument void: columns go negative at the witness: "
-        + ", ".join(ceiling.negative_columns)
-    )
-    checks.append(_check_entry("ceiling", "pass" if c_ok else "fail", c_elapsed, c_detail))
+    def ceiling():
+        bound = lp.upper_bound_check(problem)
+        if bound.applicable:
+            return bound.bound == 64, f"objective ceiling {bound.bound} from witness {bound.witness}"
+        negative = ", ".join(bound.negative_columns)
+        return False, f"ceiling argument void: columns go negative at the witness: {negative}"
 
-    passed = all(c["status"] == "pass" for c in checks)
-    return {"command": "lp", "checks": checks, "passed": passed}
+    return "lp", [_entry("lp", solve), _entry("ceiling", ceiling)]
 
 
-def cmd_sample(args) -> dict:
+def cmd_sample(args) -> tuple[str, list[dict]]:
     if not 2 <= args.n <= 6:
         raise UsageError("--n must be in 2..6")
     if args.count < 1:
         raise UsageError("--count must be positive")
-    started = time.perf_counter()
-    stats = atiyah.run_samples(
-        args.n, args.count, seed=args.seed, mode=args.mode, tol=args.tol
-    )
-    elapsed = time.perf_counter() - started
 
-    parts = [
-        f"min |At| / prod(2 r_ij) = {stats.min_pair_margin:.12f} "
-        f"(worst index {stats.worst_index}, config seed {stats.worst_seed})"
-    ]
-    if stats.re_deviation is not None:
-        parts.append(f"max |Re At - d4| / |At| = {stats.re_deviation:.3e}")
-        parts.append(f"max |(Im At)^2 - w4^2 z4| / |At|^2 = {stats.im_sq_deviation:.3e}")
-        parts.append(f"min |At|^2 / P4 = {stats.min_face_margin:.12f}")
-    if stats.line_deviation is not None:
-        parts.append(f"max |At - 2x| / 2x = {stats.line_deviation:.3e}")
-    if stats.triangle_deviation is not None:
-        parts.append(f"max |At - (8xyz + d3)| rel = {stats.triangle_deviation:.3e}")
-    parts.append(
-        f"violations: {stats.identity_violations} identity, "
-        f"{stats.margin_violations} margin, {stats.degenerate} degenerate skips"
-    )
-    detail = "; ".join(parts)
+    def campaign():
+        stats = atiyah.run_samples(
+            args.n, args.count, seed=args.seed, mode=args.mode, tol=args.tol
+        )
+        parts = [
+            f"min |At| / prod(2 r_ij) = {stats.min_pair_margin:.12f} "
+            f"(worst index {stats.worst_index}, config seed {stats.worst_seed})"
+        ]
+        if stats.re_deviation is not None:
+            parts.append(f"max |Re At - d4| / |At| = {stats.re_deviation:.3e}")
+            parts.append(f"max |(Im At)^2 - w4^2 z4| / |At|^2 = {stats.im_sq_deviation:.3e}")
+            parts.append(f"min |At|^2 / P4 = {stats.min_face_margin:.12f}")
+        if stats.line_deviation is not None:
+            parts.append(f"max |At - 2x| / 2x = {stats.line_deviation:.3e}")
+        if stats.triangle_deviation is not None:
+            parts.append(f"max |At - (8xyz + d3)| rel = {stats.triangle_deviation:.3e}")
+        parts.append(
+            f"violations: {stats.identity_violations} identity, "
+            f"{stats.margin_violations} margin, {stats.degenerate} degenerate skips"
+        )
+        shown = {k: (v if not isinstance(v, float) else repr(v)) for k, v in vars(stats).items()}
+        return stats.passed() and stats.degenerate == 0, "; ".join(parts), {"stats": shown}
 
-    ok = stats.passed() and stats.degenerate == 0
-    check = _check_entry(
-        f"sample n={args.n} {args.mode}",
-        "pass" if ok else "fail",
-        elapsed,
-        detail,
-        stats={
-            k: (v if not isinstance(v, float) else repr(v))
-            for k, v in vars(stats).items()
-        },
-    )
-    return {"command": "sample", "checks": [check], "passed": ok}
+    return "sample", [_entry(f"sample n={args.n} {args.mode}", campaign)]
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -369,24 +325,23 @@ def _parse_rational(token: str) -> Fraction:
         raise UsageError(f"not a rational number: {shown}") from exc
 
 
-def cmd_eval(args) -> dict:
+def cmd_eval(args) -> tuple[str, list[dict]]:
     polys = catalog.named_polynomials()
     if args.name not in polys:
         known = ", ".join(sorted(polys))
         raise UsageError(f"unknown polynomial {args.name!r}; known names: {known}")
     u = tuple(_parse_rational(tok) for tok in args.values)
-    started = time.perf_counter()
-    value = polys[args.name].evaluate(u)
-    elapsed = time.perf_counter() - started
-    try:
-        point = ", ".join(str(q) for q in u)
-        text = str(value)
-    except ValueError as exc:  # more digits than the int-to-str limit
-        raise UsageError(f"cannot print {args.name} at this point: {exc}") from exc
-    check = _check_entry(
-        f"eval {args.name}", "pass", elapsed, f"{args.name}({point}) = {text}", value=text
-    )
-    return {"command": "eval", "checks": [check], "passed": True}
+
+    def evaluate():
+        value = polys[args.name].evaluate(u)
+        try:
+            point = ", ".join(str(q) for q in u)
+            text = str(value)
+        except ValueError as exc:  # more digits than the int-to-str limit
+            raise UsageError(f"cannot print {args.name} at this point: {exc}") from exc
+        return True, f"{args.name}({point}) = {text}", {"value": text}
+
+    return "eval", [_entry(f"eval {args.name}", evaluate)]
 
 
 def _print_report(report: dict, as_json: bool) -> None:
@@ -411,6 +366,9 @@ def _print_report(report: dict, as_json: bool) -> None:
         os.close(devnull)
 
 
+_COMMANDS = {"verify": cmd_verify, "lp": cmd_lp, "sample": cmd_sample, "eval": cmd_eval}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -418,19 +376,14 @@ def main(argv=None) -> int:
         # most 1, so a tolerance of 1 or more would pass them.
         if not 0 < args.tol < 1:
             raise UsageError(f"--tol must be a finite positive number below 1, got {args.tol!r}")
-        if args.command == "verify":
-            report = cmd_verify(args)
-        elif args.command == "lp":
-            report = cmd_lp(args)
-        elif args.command == "sample":
-            report = cmd_sample(args)
-        else:
-            report = cmd_eval(args)
+        command, checks = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    passed = all(check["status"] == "pass" for check in checks)
+    report = {"command": command, "checks": checks, "passed": passed}
     _print_report(report, args.as_json)
-    return 0 if report["passed"] else 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -26,45 +26,52 @@ def record(number, name, passed, detail=""):
 
 
 def test_criterion_1_base_identity_certificate():
+    started = time.perf_counter()
     report = certify.run_certificate_check("sec3")
-    ok = report.passed and report.elapsed_seconds < 5
+    elapsed = time.perf_counter() - started
+    ok = report.passed and elapsed < 5
     record(
         1,
         "3 d4 = 188 p4 + 10 z4 + 4 n4 + 2 v4^2 + sum, residual exactly zero",
         ok,
-        f"residual terms {len(report.residual.terms)}, {report.elapsed_seconds:.2f}s < 5s",
+        f"residual terms {len(report.residual.terms)}, {elapsed:.2f}s < 5s",
     )
 
 
 def test_criterion_2_product_identity_certificate():
+    started = time.perf_counter()
     report = certify.run_certificate_check("eq42")
-    ok = report.passed and report.elapsed_seconds < 60
+    elapsed = time.perf_counter() - started
+    ok = report.passed and elapsed < 60
     record(
         2,
         "64 p4 m4 = sum over the 64-term table, residual exactly zero",
         ok,
-        f"residual terms {len(report.residual.terms)}, {report.elapsed_seconds:.2f}s < 60s",
+        f"residual terms {len(report.residual.terms)}, {elapsed:.2f}s < 60s",
     )
 
 
 def test_criterion_3_degree_twelve_certificate():
+    started = time.perf_counter()
     report = certify.run_certificate_check("eq53")
-    ok = report.passed and report.elapsed_seconds < 180
+    elapsed = time.perf_counter() - started
+    ok = report.passed and elapsed < 180
     record(
         3,
         "128 M4 = (4 z4 + v4^2) sum + sum over the 6+114-term tables, residual exactly zero",
         ok,
-        f"residual terms {len(report.residual.terms)}, {report.elapsed_seconds:.2f}s < 180s",
+        f"residual terms {len(report.residual.terms)}, {elapsed:.2f}s < 180s",
     )
 
 
 def test_criterion_4_rearrangement_identity():
+    started = time.perf_counter()
     report = certify.check_eq52()
     record(
         4,
         "d4^2 - P4 - (4 z4 + v4^2)(d4 + 32 p4 + m4) - M4 expands to zero",
         report.passed,
-        f"{report.elapsed_seconds:.2f}s",
+        f"{time.perf_counter() - started:.2f}s",
     )
 
 

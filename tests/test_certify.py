@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -186,10 +187,11 @@ def test_mutated_sec3_loads_or_fails_citing_a_line(lines):
 
 
 def test_sec3_certificate_verifies():
+    started = time.perf_counter()
     report = run_certificate_check("sec3")
+    assert time.perf_counter() - started < 5
     assert report.passed
     assert report.residual.is_zero()
-    assert report.elapsed_seconds < 5
 
 
 def test_eq52_rearrangement_is_exactly_zero():

@@ -1,8 +1,10 @@
 """Exit codes, report formats, and the verify orchestration."""
 
+import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -119,7 +121,9 @@ def test_sample_flag_validation(capsys):
 
 
 def test_lp_flag_validation(monkeypatch, capsys):
-    assert run_cli("lp", "--basis", "t5") == 2
+    with pytest.raises(SystemExit) as exc:  # t6 is the only basis, so there is no flag
+        run_cli("lp", "--basis", "t6")
+    assert exc.value.code == 2
     assert run_cli("lp", "--extra", "w4") == 2
     assert run_cli("lp", "--extra", "z4,z4") == 2
     capsys.readouterr()
@@ -362,6 +366,20 @@ def test_ceiling_entry_is_timed(monkeypatch, capsys):
     assert entries["lp"]["elapsed_ms"] < 300
 
 
+def test_certificate_entry_is_timed_with_its_load(monkeypatch, capsys):
+    real_load = certify.load_certificate
+
+    def slow_load(path):
+        time.sleep(0.3)
+        return real_load(path)
+
+    monkeypatch.setattr(certify, "load_certificate", slow_load)
+    assert run_cli("--json", "verify", "sec3") == 0
+    (entry,) = json.loads(capsys.readouterr().out)["checks"]
+    assert entry["status"] == "pass"
+    assert entry["elapsed_ms"] >= 300
+
+
 def test_basis_build_is_timed_apart_from_the_solve(monkeypatch, capsys):
     gap = catalog.d4() - 64 * catalog.p4()
 
@@ -409,3 +427,37 @@ def test_verify_factorization_fails_on_a_nan_evaluator(monkeypatch, capsys, brok
     assert "1000 identity violations" in entry["detail"]
     if broken != "d4":
         assert "nan over" in entry["detail"]
+
+
+#: sha256 of each whole ``--json`` report once the timing keys are dropped
+#: from its entries; nothing else in a report depends on the clock.
+PINNED_REPORTS = {
+    "verify all": "4eb27f5d9c162b60424a053e5d92d2f9a396f30747ab34562120ae402fc6b5b1",
+    "lp --extra ": "1633e7ddeca984ce83d3f35c9b83f5f3a236be09385576ec8b0301ec64e52181",
+    "lp --extra z4,n4": "45642760330ccae417a31f9a7bf9d046e2622dc3322dd0c2a30934098c6d87ce",
+    "lp --extra z4,n4,v4sq": "1fa1d4d8241d000fb3985de804bb618b983310366ee9cea68ae40fefaa4b5f2e",
+    "sample --n 4 --count 2000": "b4a566df82084dc1f584ec6b1e7c6ed5bb0337516df8d455b84f4e89b33e8a19",
+    "sample --n 6 --count 1000": "dca7c4a3eb1ab6295bc3c5b5e521480788dfe5a2690bf374c1312b02b2558a7c",
+}
+
+
+def test_whole_reports_are_pinned(capsys):
+    digests = {}
+    for command in PINNED_REPORTS:
+        assert run_cli("--json", *command.split(" ")) == 0
+        report = json.loads(capsys.readouterr().out)
+        for entry in report["checks"]:
+            for key in ("elapsed_ms", "basis_ms", "solve_ms"):
+                entry.pop(key, None)
+        text = json.dumps(report, sort_keys=True)
+        digests[command] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == PINNED_REPORTS
+
+
+def test_readme_command_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("atiyah4 ")]
+    assert examples
+    for argv in examples:
+        build_parser().parse_args(argv[1:])  # exits on a stale flag or value

@@ -11,8 +11,10 @@ the conjectures are about.
 For four points the real part of the determinant matches d4 on the
 distance vector and the squared imaginary part matches w4^2 * z4, which
 is what the sampling campaigns in this module cross-check against the
-exact catalog.  Everything here is double precision; the exact modules
-never import this one.
+exact catalog.  The float checks evaluate the catalog's own formulas at
+float distances; the Cayley-Menger determinant is exact for every input,
+since a float is an exact binary rational.  The exact modules never
+import this one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 
 from . import catalog
 from .linalg import gauss_jordan
-from .polyring import EDGES, FACES, float_evaluator, normalize_coeff
+from .polyring import EDGES, float_evaluator, normalize_coeff
 
 Point3 = tuple[float, float, float]
 Spinor = tuple[complex, complex]
@@ -46,8 +48,6 @@ GEOMETRIC_TOL = 1e-9
 #: Conditioning floor of ``geometric_distance_samples``, relative to the
 #: sixth power of the mean distance.
 VOLUME_FLOOR = 1e-3
-
-MODES = ("generic", "near-planar", "near-collinear", "near-coincident")
 
 _TINY = 1e-300
 
@@ -203,30 +203,28 @@ def triangle_slacks(u):
 def cayley_menger_det(u):
     """Cayley-Menger determinant of the squared distances; equals 288 V^2.
 
-    Exact (int or Fraction) entries get an exact determinant; anything
-    else falls back to double precision with partial pivoting.
+    Exact for every input: a float distance is taken as the binary
+    rational it is, so the value is an int or a Fraction.
     """
     if len(u) != 6:
         raise ValueError("expected six distances")
     # Row and column 1 + p belong to point p; the squared distance of each
     # edge sits at both of its off-diagonal places.
     matrix = [[0, 1, 1, 1, 1]] + [[1, 0, 0, 0, 0] for _ in range(4)]
-    for (p, q), v in zip(EDGES, u):
+    for (p, q), v in zip(EDGES, map(Fraction, u)):
         matrix[1 + p][1 + q] = matrix[1 + q][1 + p] = v * v
-    if all(isinstance(v, (int, Fraction)) for v in u):
-        return normalize_coeff(gauss_jordan(matrix)[2])
-    return _det_complex([[complex(float(e)) for e in row] for row in matrix]).real
+    return normalize_coeff(gauss_jordan(matrix)[2])
 
 
 def is_geometric_candidate(u) -> bool:
     """True when u passes every triangle inequality and the volume test.
 
-    All twelve triangular variables must be nonnegative (up to
-    GEOMETRIC_TOL relative slack for rounded input) and the Cayley-Menger
-    determinant must be >= -GEOMETRIC_TOL relative to the natural
-    sixth-power scale.
+    The six distances must be finite and nonnegative, all twelve
+    triangular variables nonnegative (up to GEOMETRIC_TOL relative slack
+    for rounded input), and the Cayley-Menger determinant >= -GEOMETRIC_TOL
+    relative to the natural sixth-power scale.
     """
-    if len(u) != 6 or any(v < 0 for v in u):
+    if len(u) != 6 or not all(0 <= v < math.inf for v in u):
         return False
     scale = float(max(u))
     if scale == 0.0:
@@ -238,22 +236,18 @@ def is_geometric_candidate(u) -> bool:
 
 
 def volume_squared_scaled(u):
-    """144 V^2 for the tetrahedron with distance vector u.
+    """144 V^2 for the tetrahedron with distance vector u, exactly.
 
-    Exact input produces an exact rational; float input a float.  Raises
-    ValueError when u is not realizable by four points.
+    Raises ValueError when u is not realizable by four points.
     """
     if not is_geometric_candidate(u):
         raise ValueError("distance vector is not realizable by four points in 3-space")
-    det = cayley_menger_det(u)
-    if isinstance(det, float):
-        return 0.5 * det
-    return normalize_coeff(Fraction(det) / 2)
+    return normalize_coeff(Fraction(cayley_menger_det(u)) / 2)
 
 
-#: Distance vectors on which d4 = 64 p4 exactly; the first fifteen
-#: (row-major) have d4 = p4 = 0, the remaining six do not.
-_SPECIAL = (
+#: The twenty-one exact distance vectors on which d4 = 64 p4; the first
+#: fifteen (row-major) have d4 = p4 = 0, the remaining six do not.
+SPECIAL_VECTORS = (
     (0, 1, 4, 1, 4, 4),
     (0, 4, 8, 4, 7, 8),
     (0, 6, 0, 6, 6, 0),
@@ -280,11 +274,6 @@ _SPECIAL = (
 SPECIAL_FLAT_COUNT = 15
 
 
-def special_vectors():
-    """The twenty-one exact distance vectors where the bound 64 is tight."""
-    return _SPECIAL
-
-
 def sample_config(n: int, seed, mode: str = "generic") -> list[Point3]:
     """Reproducible pseudo-random configuration of n points.
 
@@ -295,16 +284,9 @@ def sample_config(n: int, seed, mode: str = "generic") -> list[Point3]:
     """
     if not 2 <= n <= 6:
         raise ValueError("n must be in 2..6")
-    if mode not in MODES:
+    if mode not in _SAMPLERS:
         raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
-    rng = random.Random(seed)
-    if mode == "generic":
-        return _sample_generic(rng, n)
-    if mode == "near-planar":
-        return _sample_near_planar(rng, n)
-    if mode == "near-collinear":
-        return _sample_near_collinear(rng, n)
-    return _sample_near_coincident(rng, n)
+    return _SAMPLERS[mode](random.Random(seed), n)
 
 
 def _sample_generic(rng: random.Random, n: int) -> list[Point3]:
@@ -359,6 +341,15 @@ def _unit_direction(rng: random.Random) -> Point3:
             return (v[0] / norm, v[1] / norm, v[2] / norm)
 
 
+_SAMPLERS = {
+    "generic": _sample_generic,
+    "near-planar": _sample_near_planar,
+    "near-collinear": _sample_near_collinear,
+    "near-coincident": _sample_near_coincident,
+}
+MODES = tuple(_SAMPLERS)
+
+
 def geometric_distance_samples(count: int, seed: int = 0) -> list[tuple[float, ...]]:
     """Distance vectors of random tetrahedra with a conditioning floor.
 
@@ -389,20 +380,6 @@ def _float_fn(name: str):
     entries of ``catalog.named_polynomials``.
     """
     return float_evaluator({"d4": catalog.d4, "w4": catalog.w4, "z4": catalog.z4}[name]())
-
-
-def _d3_float(p: float, q: float, r: float) -> float:
-    return (-p + q + r) * (p - q + r) * (p + q - r)
-
-
-def _face_product(u) -> float:
-    """Product of the four 3-point determinants, from the factored form."""
-    u = [float(v) for v in u]
-    total = 1.0
-    for i, j, k in FACES:
-        p, q, r = u[i], u[j], u[k]
-        total *= 8.0 * p * q * r + _d3_float(p, q, r)
-    return total
 
 
 @dataclass(frozen=True)
@@ -525,7 +502,7 @@ def run_samples(
                 identity_violations += 1
         elif n == 3:
             sx, sz, sy = dists  # pairs 01, 02, 12
-            reference = 8.0 * sx * sy * sz + _d3_float(sx, sy, sz)
+            reference = 8.0 * sx * sy * sz + catalog.triple_factor(sx, sy, sz)
             deviation = abs(at - reference) / max(abs(reference), _TINY)
             if _new_high(deviation, tri_dev):
                 tri_dev = deviation
@@ -544,7 +521,7 @@ def run_samples(
                 identity_violations += 1
             # Every face factor 8pqr + d3 is positive for distinct points,
             # so a product that is not is a fault, scored as a NaN margin.
-            face = _face_product(u)
+            face = catalog.face_product(u)
             face_margin = magnitude**2 / face if face > 0 else math.nan
             if _new_low(face_margin, min_face):
                 min_face = face_margin

@@ -46,7 +46,7 @@ def triple_factor(p: Poly, q: Poly, r: Poly) -> Poly:
 
     On side lengths p, q, r it is 16 (area)^2 / (p + q + r) by Heron's
     formula; what matters downstream is only that it is nonnegative exactly
-    when the triangle inequality holds.
+    when the triangle inequality holds.  It also evaluates at numbers.
     """
     return (-p + q + r) * (p - q + r) * (p + q - r)
 
@@ -117,13 +117,17 @@ def m4() -> Poly:
     return d4() - (64 * p4() + 4 * z4() + v4() ** 2)
 
 
-@cache
-def big_p4() -> Poly:
-    """Product of the four 3-point determinants, one per face."""
-    v = polyring.variables()
+def face_product(v: Sequence) -> Poly:
+    """Product over the faces of 8pqr + triple_factor(p, q, r), at Polys or numbers."""
     return math.prod(
         8 * v[i] * v[j] * v[k] + triple_factor(v[i], v[j], v[k]) for i, j, k in polyring.FACES
     )
+
+
+@cache
+def big_p4() -> Poly:
+    """Product of the four 3-point determinants, one per face."""
+    return face_product(polyring.variables())
 
 
 @cache

@@ -41,8 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--certs",
         metavar="DIR",
         default=None,
-        help="certificate directory (default: ./certificates when present, "
-        "otherwise the bundled copies)",
+        help="certificate directory (default: the bundled copies)",
     )
     parser.add_argument(
         "--tol",
@@ -91,16 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_cert_dir(flag: str | None) -> Path | None:
-    """Pick the certificate directory; None means use the bundled files."""
-    if flag is not None:
-        path = Path(flag)
-        if not path.is_dir():
-            raise UsageError(f"certificate directory not found: {path}")
-        return path
-    local = Path("certificates")
-    if local.is_dir():
-        return local
-    return None
+    """The directory ``--certs`` names; None means use the bundled files."""
+    if flag is None:
+        return None
+    path = Path(flag)
+    if not path.is_dir():
+        raise UsageError(f"certificate directory not found: {path}")
+    return path
 
 
 def _entry(name: str, check: Callable[[], tuple]) -> dict:
@@ -157,7 +153,7 @@ def _factorization_check(seed: int, tol: float) -> tuple[bool, str]:
 
 def _vectors34_check() -> tuple[bool, str]:
     d4, p4, z4, v4, n4 = catalog.d4(), catalog.p4(), catalog.z4(), catalog.v4(), catalog.n4()
-    vectors = atiyah.special_vectors()
+    vectors = atiyah.SPECIAL_VECTORS
     flat_count = atiyah.SPECIAL_FLAT_COUNT
 
     d4_at = {u: d4.evaluate(u) for u in vectors}

@@ -394,16 +394,20 @@ def check_optimality(problem: LpProblem, alpha: Fraction, multipliers: dict[str,
 
 def _dual_values(problem: LpProblem, y: dict[Mono, Coeff]) -> tuple[list[Fraction], Fraction]:
     """The value y (keyed as in :func:`check_optimality`) gives each column, and b^T y."""
-    # Exact, and in ints for int entries: y is brought to one denominator,
-    # so each value is one sum of weight * entry, divided once.
     weights = [y.get(mono, 0) for mono in problem.monomials]
+    *values, objective = _dots(weights, [*zip(*problem.matrix), problem.rhs])
+    return values, objective
+
+
+def _dots(weights: Sequence[Coeff], vectors: Iterable[Sequence[Coeff]]) -> list[Fraction]:
+    """weights . v for each v, exactly.
+
+    In ints for int entries: the weights are brought to one denominator,
+    so each value is one sum of weight * entry, divided once.
+    """
     denominator = math.lcm(*(w.denominator for w in weights))
     scaled = [w.numerator * (denominator // w.denominator) for w in weights]
-
-    def dot(entries: Iterable[Coeff]) -> Fraction:
-        return Fraction(sum(map(operator.mul, scaled, entries)), denominator)
-
-    return [dot(column) for column in zip(*problem.matrix)], dot(problem.rhs)
+    return [Fraction(sum(map(operator.mul, scaled, v)), denominator) for v in vectors]
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -458,15 +462,8 @@ def _solution(status: str, point: tuple[Fraction, dict[str, Fraction]] | None, r
 
 def _reconstructs(problem: LpProblem, alpha: Fraction,
                   multipliers: dict[str, Fraction]) -> bool:
-    lam = [multipliers.get(name, 0) for name in problem.column_names[1:]]
-    for row, b in zip(problem.matrix, problem.rhs):
-        total = alpha * row[0]
-        for v, l in zip(row[1:], lam):
-            if v and l:
-                total += l * v
-        if total != b:
-            return False
-    return True
+    x = [alpha, *(multipliers.get(name, 0) for name in problem.column_names[1:])]
+    return _dots(x, problem.matrix) == list(problem.rhs)
 
 
 def combination_polynomial(basis: Sequence[tuple[str, Column]],

@@ -144,14 +144,7 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        result = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = result.get(mono, 0) - coeff
-            if total:
-                result[mono] = normalize_coeff(total)
-            elif mono in result:
-                del result[mono]
-        return Poly._raw(result)
+        return self + -other
 
     def __mul__(self, other: "Poly | Coeff") -> "Poly":
         if isinstance(other, Poly):
@@ -160,10 +153,7 @@ class Poly:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other: "Coeff") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, scalar: Coeff) -> "Poly":
         # Symmetric polynomials repeat few coefficient values over many

@@ -176,17 +176,6 @@ def orbit(mono: Mono) -> tuple[Mono, ...]:
     return members
 
 
-def _spread(totals: Mapping[Mono, Coeff], weight: Callable[[int], Coeff]) -> Poly:
-    """Write weight(|orbit(c)|) * totals[c] to every member of each orbit c."""
-    result: dict[Mono, Coeff] = {}
-    for canonical, total in totals.items():
-        members = orbit(canonical)
-        value = normalize_coeff(weight(len(members)) * total)
-        for mono in members:
-            result[mono] = value
-    return Poly._raw(result)
-
-
 def orbit_sum(poly: Poly) -> Poly:
     """Sum of the 24 permuted images of ``poly`` (24 times the average).
 
@@ -196,11 +185,10 @@ def orbit_sum(poly: Poly) -> Poly:
         orbit_sum(p)[n] = |Stab(c)| * sum(p[m] for m in orbit(c)),
 
     with |Stab(c)| = 24 / |orbit(c)|, because the 24 rows carry each
-    monomial of the orbit onto n exactly |Stab(c)| times.  So each input
-    term costs one table lookup and one add, and each orbit one write per
-    member.
+    monomial of the orbit onto n exactly |Stab(c)| times.  That is 24
+    times the symmetric average, which is computed by orbit.
     """
-    return _spread(orbit_totals(poly), lambda size: GROUP_ORDER // size)
+    return sym_average(poly).scale(GROUP_ORDER)
 
 
 def average_of_totals(totals: Mapping[Mono, Coeff]) -> Poly:
@@ -209,7 +197,13 @@ def average_of_totals(totals: Mapping[Mono, Coeff]) -> Poly:
     The average is orbit_sum / 24, so member n of orbit(c) gets
     |Stab(c)| * totals[c] / 24 = totals[c] / |orbit(c)|.
     """
-    return _spread(totals, lambda size: Fraction(1, size))
+    result: dict[Mono, Coeff] = {}
+    for canonical, total in totals.items():
+        members = orbit(canonical)
+        value = normalize_coeff(Fraction(total, len(members)))
+        for mono in members:
+            result[mono] = value
+    return Poly._raw(result)
 
 
 def sym_average(poly: Poly) -> Poly:

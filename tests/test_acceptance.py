@@ -115,7 +115,7 @@ def test_criterion_5_linear_program_optima():
 def test_criterion_6_special_vector_suite():
     polys = catalog.named_polynomials()
     d4, p4, z4, v4, n4 = (polys[k] for k in ("d4", "p4", "z4", "v4", "n4"))
-    vectors = atiyah.special_vectors()
+    vectors = atiyah.SPECIAL_VECTORS
     flat = atiyah.SPECIAL_FLAT_COUNT
     ok = (
         len(vectors) == 21
@@ -176,7 +176,7 @@ def test_criterion_8_construction_sanity():
         sx = math.dist(points[0], points[1])
         sy = math.dist(points[1], points[2])
         sz = math.dist(points[0], points[2])
-        reference = 8 * sx * sy * sz + atiyah._d3_float(sx, sy, sz)
+        reference = 8 * sx * sy * sz + catalog.triple_factor(sx, sy, sz)
         value = atiyah.atiyah_det(points)
         worst_tri = max(worst_tri, abs(value - reference) / abs(reference))
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from atiyah4 import atiyah, catalog
 from atiyah4.atiyah import (
+    SPECIAL_VECTORS,
     atiyah_det,
     atiyah_matrix,
     cayley_menger_det,
@@ -23,7 +24,6 @@ from atiyah4.atiyah import (
     paired_lift,
     run_samples,
     sample_config,
-    special_vectors,
     triangle_slacks,
     volume_squared_scaled,
 )
@@ -88,7 +88,7 @@ def test_three_point_formula():
         sx = math.dist(points[0], points[1])
         sy = math.dist(points[1], points[2])
         sz = math.dist(points[0], points[2])
-        reference = 8 * sx * sy * sz + atiyah._d3_float(sx, sy, sz)
+        reference = 8 * sx * sy * sz + catalog.triple_factor(sx, sy, sz)
         value = atiyah_det(points)
         worst = max(worst, abs(value - reference) / abs(reference))
     assert worst < 1e-9
@@ -309,7 +309,7 @@ def test_z4_is_half_the_cayley_menger_determinant():
     z4 = catalog.z4()
     assert det == 2 * z4
     # The same layout as the shipped function, checked where it is exact.
-    for u in [*special_vectors(), (1, 1, 1, 1, 1, 1)]:
+    for u in [*SPECIAL_VECTORS, (1, 1, 1, 1, 1, 1)]:
         assert cayley_menger_det(u) == 2 * z4.evaluate(u)
 
 
@@ -325,19 +325,24 @@ def test_sampling_needs_no_degree_12_registry(monkeypatch):
         atiyah._float_fn.cache_clear()
 
 
-def test_cayley_menger_float_path_matches_exact():
-    for u in special_vectors()[:5]:
-        exact = cayley_menger_det(u)
-        approx = cayley_menger_det(tuple(float(v) for v in u))
-        assert abs(approx - exact) <= 1e-6 * max(1.0, float(max(u)) ** 6)
+def test_cayley_menger_float_input_is_exact():
+    # A float distance is the binary rational it stores, so float input
+    # gets the determinant of those rationals, not a rounded one.
+    floats = [tuple(map(float, u)) for u in SPECIAL_VECTORS[:5]]
+    floats += geometric_distance_samples(20, seed=4)
+    for u in floats:
+        assert cayley_menger_det(u) == cayley_menger_det(tuple(map(Fraction, u)))
+    assert cayley_menger_det((1 / 3,) * 6) != cayley_menger_det((Fraction(1, 3),) * 6)
 
 
 def test_geometric_candidate_judgement():
     assert is_geometric_candidate((1, 1, 1, 1, 1, 1))
     assert not is_geometric_candidate((10, 1, 1, 1, 1, 1))
     assert not is_geometric_candidate((1, 1, 1, 1, 1, -1))
+    assert not is_geometric_candidate((math.nan, 1, 1, 1, 1, 1))
+    assert not is_geometric_candidate((1, 1, 1, 1, 1, math.inf))
     assert is_geometric_candidate((0, 0, 0, 0, 0, 0))
-    assert all(is_geometric_candidate(u) for u in special_vectors())
+    assert all(is_geometric_candidate(u) for u in SPECIAL_VECTORS)
 
 
 def test_volume_refuses_non_geometric_input():
@@ -346,7 +351,7 @@ def test_volume_refuses_non_geometric_input():
 
 
 def test_special_vectors_shape():
-    vectors34 = special_vectors()
+    vectors34 = SPECIAL_VECTORS
     assert len(vectors34) == 21
     assert vectors34[0] == (0, 1, 4, 1, 4, 4)
     assert vectors34[18] == (9, 8, 1, 1, 7, 8)
@@ -492,6 +497,20 @@ def test_determinant_values_are_pinned_bitwise():
 # deviations and margins.  Any change to the campaign loop must reproduce
 # these exactly.
 PINNED_CAMPAIGNS = {
+    (2, 'generic'): (
+        "SampleStats(n=2, mode='generic', count=200, tol=1e-08, margin_slack=1e-09, "
+        "checked=200, degenerate=0, line_deviation=2.664713237533336e-16, "
+        "triangle_deviation=None, re_deviation=None, im_sq_deviation=None, "
+        "min_pair_margin=0.9999999999999998, min_face_margin=None, worst_index=18, "
+        "worst_seed=5000033, identity_violations=0, margin_violations=0)"
+    ),
+    (3, 'generic'): (
+        "SampleStats(n=3, mode='generic', count=200, tol=1e-08, margin_slack=1e-09, "
+        "checked=200, degenerate=0, line_deviation=None, "
+        "triangle_deviation=5.665198233326618e-16, re_deviation=None, "
+        "im_sq_deviation=None, min_pair_margin=1.0006670935808697, min_face_margin=None, "
+        "worst_index=121, worst_seed=5000136, identity_violations=0, margin_violations=0)"
+    ),
     (4, 'generic'): (
         "SampleStats(n=4, mode='generic', count=200, tol=1e-08, margin_slack=1e-09, "
         "checked=200, degenerate=0, line_deviation=None, triangle_deviation=None, "
@@ -543,7 +562,7 @@ def test_nan_evaluator_is_a_violation_not_a_pass(monkeypatch):
 
 @pytest.mark.parametrize("face", [math.nan, -1.0, 0.0])
 def test_bad_face_product_is_a_violation(monkeypatch, face):
-    monkeypatch.setattr(atiyah, "_face_product", lambda u: face)
+    monkeypatch.setattr(catalog, "face_product", lambda u: face)
     stats = run_samples(4, 50, seed=8)
     assert stats.margin_violations == 50
     assert math.isnan(stats.min_face_margin)

@@ -144,6 +144,8 @@ def test_f4_is_w4_squared_z4(named):
 
 
 def test_p4_is_product_of_face_determinants(named):
+    from atiyah4.atiyah import SPECIAL_VECTORS
+
     assert named["P4"].evaluate(ONES) == 9**4
     u = (2, 3, 4, 3, 3, 3)
     faces = ((3, 3, 3), (3, 3, 2), (3, 4, 3), (3, 4, 2))
@@ -151,6 +153,15 @@ def test_p4_is_product_of_face_determinants(named):
     for p, q, r in faces:
         expected *= 8 * p * q * r + catalog.d3().evaluate((0, 0, 0, p, q, r))
     assert named["P4"].evaluate(u) == expected
+    for u in SPECIAL_VECTORS:
+        u = tuple(map(Fraction, u))
+        assert catalog.face_product(u) == named["P4"].evaluate(u)
+
+
+@given(points)
+@settings(max_examples=40)
+def test_face_product_is_big_p4_evaluated(named, u):
+    assert catalog.face_product(u) == named["P4"].evaluate(u)
 
 
 def test_triangular_basis_shape():
@@ -167,10 +178,10 @@ def test_triangular_basis_shape():
 
 
 def test_triangular_nonneg_on_special_vectors(named):
-    from atiyah4.atiyah import special_vectors
+    from atiyah4.atiyah import SPECIAL_VECTORS
 
     basis = catalog.triangular_basis()
-    for u in special_vectors():
+    for u in SPECIAL_VECTORS:
         assert all(form.evaluate(u) >= 0 for form in basis)
 
 

@@ -278,22 +278,23 @@ def test_verify_all_skips_deep_checks_when_base_fails(tmp_path, capsys):
     assert "overall: FAIL" in out
 
 
-def test_local_certificates_directory_is_the_default(tmp_path, monkeypatch, capsys):
+def test_local_certificates_directory_is_read_only_by_certs(tmp_path, monkeypatch):
     certs = tmp_path / "certificates"
     certs.mkdir()
     _copy_certs(certs)
     _corrupt_coeff(certs / "sec3.cert")
     monkeypatch.chdir(tmp_path)
-    # the corrupted local copy must win over the bundled one
-    assert run_cli("verify", "sec3") == 1
+    # The working directory does not choose the files: a corrupted
+    # ./certificates is read only when --certs names it.
+    assert run_cli("verify", "sec3") == 0
+    assert run_cli("--certs", "certificates", "verify", "sec3") == 1
 
 
-def test_resolve_cert_dir_falls_back_to_bundled(tmp_path, monkeypatch):
+def test_resolve_cert_dir_is_bundled_without_certs(tmp_path, monkeypatch):
+    (tmp_path / "certificates").mkdir()
     monkeypatch.chdir(tmp_path)
     assert resolve_cert_dir(None) is None
-    local = tmp_path / "certificates"
-    local.mkdir()
-    assert resolve_cert_dir(None) == Path("certificates")
+    assert resolve_cert_dir("certificates") == Path("certificates")
 
 
 def test_parser_has_expected_defaults():

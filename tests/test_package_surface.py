@@ -7,7 +7,8 @@ Every private one, and every non-dunder method of a class, must be loaded
 somewhere in the package, with no exceptions.  Every defaulted parameter
 must be passed at some call in the package, or be pinned below with its
 reason.  A helper only tests call belongs in the test file that uses it,
-and an input form only tests use belongs in the tests' references.
+and an input form only tests use belongs in the tests' references.  No
+top-level function only returns a name or a literal.
 """
 
 import ast
@@ -168,3 +169,20 @@ def test_every_defaulted_parameter_is_passed_or_pinned():
         if not any(c == callee and _passes(call, position, name) for c, call in calls)
     }
     assert unpassed == set(KEPT_DEFAULTS)
+
+
+def test_no_function_only_returns_a_constant():
+    # A function that only hands back a module name or a literal is a
+    # second name for a constant; the constant itself is the API.
+    wrappers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, _FUNCTIONS):
+                continue
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            if (len(body) == 1 and isinstance(body[0], ast.Return)
+                    and isinstance(body[0].value, (ast.Name, ast.Constant))):
+                wrappers.append(f"{path.name}:{node.name}")
+    assert wrappers == []

@@ -224,15 +224,25 @@ def is_geometric_candidate(u) -> bool:
     for rounded input), and the Cayley-Menger determinant >= -GEOMETRIC_TOL
     relative to the natural sixth-power scale.
     """
+    return _geometric_cayley_menger(u) is not None
+
+
+def _geometric_cayley_menger(u):
+    """The exact Cayley-Menger determinant of u, or None when u is not a candidate.
+
+    One determinant serves both the volume test of
+    :func:`is_geometric_candidate` and the value of :func:`volume_squared_scaled`.
+    """
     if len(u) != 6 or not all(0 <= v < math.inf for v in u):
-        return False
+        return None
     scale = float(max(u))
     if scale == 0.0:
-        return True
+        return 0  # four coincident points
     slack = -GEOMETRIC_TOL * scale
     if any(t < slack for t in triangle_slacks(u)):
-        return False
-    return cayley_menger_det(u) >= -GEOMETRIC_TOL * scale**6
+        return None
+    det = cayley_menger_det(u)
+    return det if det >= -GEOMETRIC_TOL * scale**6 else None
 
 
 def volume_squared_scaled(u):
@@ -240,9 +250,10 @@ def volume_squared_scaled(u):
 
     Raises ValueError when u is not realizable by four points.
     """
-    if not is_geometric_candidate(u):
+    det = _geometric_cayley_menger(u)
+    if det is None:
         raise ValueError("distance vector is not realizable by four points in 3-space")
-    return normalize_coeff(Fraction(cayley_menger_det(u)) / 2)
+    return normalize_coeff(Fraction(det) / 2)
 
 
 #: The twenty-one exact distance vectors on which d4 = 64 p4; the first

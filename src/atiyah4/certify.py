@@ -7,12 +7,22 @@ half (which target, which fixed cocktail of named polynomials, which
 scale) is owned by the matching ``check_*`` function, so a certificate
 cannot redefine what it is supposed to prove.
 
-Each certificate check proves ``fixed side = av(table side)``, av being
-the average over the 24 relabellings, by orbit totals: a symmetric T
-equals av(P) exactly when ``orbit_totals(T) == orbit_totals(P)``
-(Gatermann & Parrilo, 2004), and the residual T - av(P) is the average
-of the differences.  A check passes only when there are none.  A report
-reads no clock, so it repeats exactly; ``cli`` times each check.
+Each check compares orbit totals, never expanded averages.  A
+certificate check proves ``fixed side = av(table side)``, av being the
+average over the 24 relabellings: a symmetric T equals av(P) exactly
+when ``orbit_totals(T) == orbit_totals(P)`` (Gatermann & Parrilo, 2004).
+eq52 claims a plain polynomial identity between symmetric sides, so it
+holds exactly when their orbit totals balance.  The residual is the
+average of the differences (for eq52, the residual itself), and a check
+passes only when there are none.  A side is reduced to its totals as
+soon as it is built, so no two sides are alive at once.  A report reads
+no clock, so it repeats exactly; ``cli`` times each check.
+
+The degree-12 products are never expanded.  The totals of f * g, for a
+symmetric g, follow from the totals of f (``symmetry.product_totals``):
+eq53 multiplies the mu table by 4 z4 + v4^2 that way, and eq52 takes
+d4 * d4 and (4 z4 + v4^2)(d4 + 32 p4 + m4) that way.  Every polynomial
+whose symmetry a check relies on passes ``_require_symmetric`` first.
 
 A coefficient table is expanded as one polynomial, sum(coeff * t^alpha),
 by ``catalog.t_combination``: a Horner scheme over the twelve slots on
@@ -25,13 +35,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from . import catalog, polyring
 from .catalog import MultiIndex
 from .catalog import t_alpha_expand  # noqa: F401  (perfbench/spans.py traces it here)
 from .polyring import Coeff, Mono, Poly, mono_key
-from .symmetry import average_of_totals, is_symmetric, orbit_totals
+from .symmetry import OrbitVector, average_of_totals, is_symmetric, orbit_totals, product_totals
 from .symmetry import orbit_sum  # noqa: F401  (perfbench/spans.py traces it here)
 
 WORST_MONOMIALS_SHOWN = 10
@@ -251,23 +260,27 @@ def _require_symmetric(label: str, poly: Poly) -> None:
         raise ConstructionError(f"{label} is not symmetric")
 
 
+def _symmetric_totals(label: str, poly: Poly) -> OrbitVector:
+    """The orbit totals of ``poly``, once it has passed ``_require_symmetric``."""
+    _require_symmetric(label, poly)
+    return orbit_totals(poly)
+
+
 # Not used by the checks; perfbench/spans.py traces it here.
 def combination_orbit_sum(terms: tuple[tuple[MultiIndex, int], ...]) -> Poly:
     """Integer polynomial sum of coeff * (24 av[t^alpha]) over the table."""
     return orbit_sum(catalog.t_combination(terms))
 
 
-def _residual(identity: str, fixed: Poly, *table_sides: Callable[[], Poly]) -> Poly:
-    """fixed - av(sum of the table sides), by orbit totals.
+def _residual(fixed: OrbitVector, *sides: OrbitVector) -> Poly:
+    """av(fixed - sum of the sides), from the orbit totals of each.
 
-    Each side is dropped once its totals are taken, and a table side is
-    built by its callable only then, so no two sides are alive at once.
+    A caller builds each side in the argument list and passes only its
+    totals, so a side's polynomial is gone before the next is built.
     """
-    _require_symmetric(f"{identity} fixed side", fixed)
-    totals = orbit_totals(fixed)
-    del fixed  # the caller passes it as an expression: this frees it
-    for side in table_sides:
-        for canonical, total in orbit_totals(side()).items():
+    totals = dict(fixed)
+    for side in sides:
+        for canonical, total in side.items():
             totals[canonical] = totals.get(canonical, 0) - total
     return average_of_totals({c: total for c, total in totals.items() if total})
 
@@ -290,13 +303,15 @@ def check_sec3(cert: Certificate) -> ResidualReport:
     """Degree-6 identity: 3 d4 = 188 p4 + 10 z4 + 4 n4 + 2 v4^2 + sum."""
     _require_shape(cert, "sec3-188/3", 3, 6)
     residual = _residual(
-        "sec3",
-        3 * catalog.d4()
-        - 188 * catalog.p4()
-        - 10 * catalog.z4()
-        - 4 * catalog.n4()
-        - 2 * catalog.v4() ** 2,
-        lambda: catalog.t_combination(cert.terms),
+        _symmetric_totals(
+            "sec3 fixed side",
+            3 * catalog.d4()
+            - 188 * catalog.p4()
+            - 10 * catalog.z4()
+            - 4 * catalog.n4()
+            - 2 * catalog.v4() ** 2,
+        ),
+        orbit_totals(catalog.t_combination(cert.terms)),
     )
     return _report("sec3-188/3", residual)
 
@@ -305,9 +320,8 @@ def check_eq42(cert: Certificate) -> ResidualReport:
     """Degree-12 identity: 64 p4 m4 equals the averaged combination."""
     _require_shape(cert, "eq42", 64, 12)
     residual = _residual(
-        "eq42",
-        64 * (catalog.p4() * catalog.m4()),
-        lambda: catalog.t_combination(cert.terms),
+        _symmetric_totals("eq42 fixed side", 64 * (catalog.p4() * catalog.m4())),
+        orbit_totals(catalog.t_combination(cert.terms)),
     )
     return _report("eq42", residual)
 
@@ -315,17 +329,17 @@ def check_eq42(cert: Certificate) -> ResidualReport:
 def check_eq53(cert: Certificate) -> ResidualReport:
     """Degree-12 identity: 128 M4 = (4 z4 + v4^2) sum_mu + sum_nu.
 
-    The multiplier is symmetric, so av(multiplier * P) = multiplier *
-    av(P): it multiplies the mu table before the average, not after.
+    The multiplier M is symmetric, so av(M P) = M av(P) for the mu table
+    P, and the totals of M P come from those of P by ``product_totals``:
+    the degree-12 product is never expanded.
     """
     _require_shape(cert, "eq53", 128, 12, multiplier_order=6)
     multiplier = 4 * catalog.z4() + catalog.v4() ** 2
     _require_symmetric("eq53 multiplier 4 z4 + v4^2", multiplier)
     residual = _residual(
-        "eq53",
-        128 * catalog.big_m4(),
-        lambda: multiplier * catalog.t_combination(cert.multiplier_terms),
-        lambda: catalog.t_combination(cert.terms),
+        _symmetric_totals("eq53 fixed side", 128 * catalog.big_m4()),
+        product_totals(orbit_totals(catalog.t_combination(cert.multiplier_terms)), multiplier),
+        orbit_totals(catalog.t_combination(cert.terms)),
     )
     return _report("eq53", residual)
 
@@ -335,15 +349,24 @@ def check_eq52() -> ResidualReport:
 
     Takes no certificate: every ingredient is a named polynomial, so the
     identity is forced by the definitions of m4 and M4 and the check
-    guards the constructions rather than any table.
+    guards the constructions rather than any table.  It is a polynomial
+    identity, not an averaged one, so every side and both factors of each
+    product must be symmetric; then the sides balance exactly when their
+    orbit totals do, and the products are taken by ``product_totals``.
+    The multiplier has 26 orbits and the cofactor 28, so the multiplier
+    goes on the totals side.
     """
     d4 = catalog.d4()
-    residual = (
-        d4 * d4
-        - catalog.big_p4()
-        - (4 * catalog.z4() + catalog.v4() ** 2)
-        * (d4 + 32 * catalog.p4() + catalog.m4())
-        - catalog.big_m4()
+    multiplier = 4 * catalog.z4() + catalog.v4() ** 2
+    cofactor = d4 + 32 * catalog.p4() + catalog.m4()
+    _require_symmetric("eq52 d4", d4)
+    _require_symmetric("eq52 multiplier 4 z4 + v4^2", multiplier)
+    _require_symmetric("eq52 cofactor d4 + 32 p4 + m4", cofactor)
+    residual = _residual(
+        product_totals(orbit_totals(d4), d4),
+        _symmetric_totals("eq52 P4", catalog.big_p4()),
+        product_totals(orbit_totals(multiplier), cofactor),
+        _symmetric_totals("eq52 M4", catalog.big_m4()),
     )
     return _report("eq52", residual)
 

@@ -119,21 +119,24 @@ def _ms_since(started: float) -> int:
     return int((time.perf_counter() - started) * 1000)
 
 
-def _verdict(report: certify.ResidualReport) -> tuple[bool, str]:
+def _verdict(check: Callable[[], certify.ResidualReport]) -> tuple[bool, str]:
+    """Run an identity check; a malformed named polynomial fails it as a construction fault."""
+    try:
+        report = check()
+    except certify.ConstructionError as exc:
+        return False, f"construction fault: {exc}"
     return report.passed, report.summary()
 
 
 def _certificate_check(name: str, cert_dir: Path | None) -> tuple[bool, str]:
     try:
-        return _verdict(certify.run_certificate_check(name, cert_dir))
+        return _verdict(lambda: certify.run_certificate_check(name, cert_dir))
     except FileNotFoundError as exc:
         raise UsageError(f"missing certificate file: {exc.filename}") from exc
     except OSError as exc:
         raise UsageError(
             f"cannot read certificate file {exc.filename}: {exc.strerror}"
         ) from exc
-    except certify.ConstructionError as exc:
-        return False, f"construction fault: {exc}"
     except ValueError as exc:
         return False, f"unusable certificate: {exc}"
 
@@ -190,7 +193,7 @@ def _vectors34_check() -> tuple[bool, str]:
 _VERIFY_CHECKS = {
     "sec3": lambda args, cert_dir: _certificate_check("sec3", cert_dir),
     "eq42": lambda args, cert_dir: _certificate_check("eq42", cert_dir),
-    "eq52": lambda args, cert_dir: _verdict(certify.check_eq52()),
+    "eq52": lambda args, cert_dir: _verdict(certify.check_eq52),
     "eq53": lambda args, cert_dir: _certificate_check("eq53", cert_dir),
     "factorization": lambda args, cert_dir: _factorization_check(args.seed, args.tol),
     "vectors34": lambda args, cert_dir: _vectors34_check(),

@@ -16,7 +16,8 @@ monomials.  A product packs each factor once, at a width taken from the
 degree bound ``deg f + deg g`` (:func:`pack_width`), so no exponent sum
 can carry into the next field at any degree; its inner loop is then an
 int add and an int-keyed dict merge per term pair instead of a 6-tuple
-built and hashed.  The sum is unpacked to exponent tuples once, and zero
+built and hashed (:func:`packed_product`, which ``symmetry.product_totals``
+runs as well).  The sum is unpacked to exponent tuples once, and zero
 and integral-Fraction coefficients are dropped or collapsed there.
 
 ``Poly`` values are immutable by convention: no public operation mutates an
@@ -27,6 +28,7 @@ be treated as read-only.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -129,14 +131,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        result = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = result.get(mono, 0) + coeff
-            if total:
-                result[mono] = normalize_coeff(total)
-            elif mono in result:
-                del result[mono]
-        return Poly._raw(result)
+        return self._merged(other, add)
 
     def __neg__(self) -> "Poly":
         return Poly._raw({m: -c for m, c in self.terms.items()})
@@ -144,7 +139,23 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + -other
+        return self._merged(other, sub)
+
+    def _merged(self, other: "Poly", combine: Callable[[Coeff, Coeff], Coeff]) -> "Poly":
+        """``combine`` (``operator.add`` or ``sub``) of self and other, term by term.
+
+        Other's terms are merged into a copy of self's as they stand: the
+        right operand of a difference is never negated into a copy.
+        """
+        result = dict(self.terms)
+        get = result.get
+        for mono, coeff in other.terms.items():
+            total = combine(get(mono, 0), coeff)
+            if total:
+                result[mono] = normalize_coeff(total)
+            elif mono in result:
+                del result[mono]
+        return Poly._raw(result)
 
     def __mul__(self, other: "Poly | Coeff") -> "Poly":
         if isinstance(other, Poly):
@@ -184,16 +195,7 @@ class Poly:
         if len(outer) > len(inner):
             outer, inner = inner, outer
         width = pack_width(self.degree() + other.degree())
-        keys = [pack(m, width) for m in inner]
-        coeffs = inner.values()
-        terms: dict[int, Coeff] = {}
-        get = terms.get
-        for m1, c1 in outer.items():
-            k1 = pack(m1, width)
-            for k2, c2 in zip(keys, coeffs):
-                k = k1 + k2
-                terms[k] = get(k, 0) + c1 * c2
-        return Poly._raw(unpacked(terms, width))
+        return Poly._raw(unpacked(packed_product(outer, inner, width), width))
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -297,6 +299,27 @@ def unpack(key: int, width: int) -> Mono:
         key >> 4 * width & mask,
         key >> 5 * width,
     )
+
+
+def packed_product(
+    outer: Mapping[Mono, Coeff], inner: Mapping[Mono, Coeff], width: int
+) -> dict[int, Coeff]:
+    """Every pair product c1 * c2, summed at the key pack(m1) + pack(m2).
+
+    ``width`` must hold every exponent of every sum.  The coefficients are
+    left unnormalized: a sum may be 0 or an integral Fraction.  The inner
+    terms are packed once and the loop runs over them for each outer term.
+    """
+    keys = [pack(m, width) for m in inner]
+    coeffs = inner.values()
+    terms: dict[int, Coeff] = {}
+    get = terms.get
+    for m1, c1 in outer.items():
+        k1 = pack(m1, width)
+        for k2, c2 in zip(keys, coeffs):
+            k = k1 + k2
+            terms[k] = get(k, 0) + c1 * c2
+    return terms
 
 
 def unpacked(terms: Mapping[int, Coeff], width: int) -> dict[Mono, Coeff]:

@@ -23,7 +23,8 @@ exponents in ``catalog``.  A symmetric polynomial is fixed by its orbit
 totals, one per orbit-canonical monomial (Gatermann & Parrilo, "Symmetry
 groups, semidefinite programs, and sums of squares", 2004): they are the
 one orbit form of the package, which ``certify`` compares and the linear
-programs of ``lp`` are written in (:func:`orbit_totals`).
+programs of ``lp`` are written in (:func:`orbit_totals`).  A product with
+a symmetric factor is taken in that form too (:func:`product_totals`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .polyring import EDGES, Coeff, Mono, N_VARS, Poly, normalize_coeff
+from .polyring import pack_width, packed_product, unpack
 
 _T = TypeVar("_T")
 
@@ -166,6 +168,39 @@ def orbit_totals(poly: Poly) -> OrbitVector:
         canonical = orbit_canonical(mono)
         totals[canonical] = get(canonical, 0) + coeff
     return {c: normalize_coeff(total) for c, total in totals.items() if total}
+
+
+def product_totals(totals: Mapping[Mono, Coeff], g: Poly) -> OrbitVector:
+    """``orbit_totals(f * g)`` from ``totals = orbit_totals(f)`` and a symmetric ``g``.
+
+    Each orbit of f stands in for all its members: for every canonical r
+    of ``totals`` and every term m of g, totals[r] * g[m] is added into the
+    total of orbit(r + m).  Only g must be symmetric; f may be anything.
+
+    Why this is exact: the total of orbit(c) in f g sums f[m1] g[m2] over
+    the pairs with m1 + m2 in orbit(c).  Take a pair with m1 = sigma r,
+    r canonical.  Applying sigma^-1 sends it to the pair (r, sigma^-1 m2):
+    the orbit of the sum is kept, and so is g's coefficient, because g is
+    symmetric.  As m2 runs over all monomials so does sigma^-1 m2, so the
+    pairs led by m1 contribute f[m1] times the same sum S(r, c) of g over
+    {m : r + m in orbit(c)} as the pairs led by r.  Summed over orbit(r),
+    f contributes totals[r] * S(r, c), which is what the loop adds.
+
+    So a product costs (orbits of f) x (terms of g) pair products on packed
+    keys, against (terms of f) x (terms of g) to expand it, and the product
+    itself is never built: only its distinct packed keys are unpacked, to
+    find their orbits.  When both factors are symmetric, the caller puts
+    the one with fewer orbits on the ``totals`` side.
+    """
+    if not totals or not g.terms:
+        return {}
+    width = pack_width(max(map(sum, totals)) + g.degree())
+    result: dict[Mono, Coeff] = {}
+    get = result.get
+    for key, value in packed_product(totals, g.terms, width).items():
+        canonical = orbit_canonical(unpack(key, width))
+        result[canonical] = get(canonical, 0) + value
+    return {c: normalize_coeff(total) for c, total in result.items() if total}
 
 
 def orbit(mono: Mono) -> tuple[Mono, ...]:

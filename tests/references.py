@@ -3,6 +3,7 @@
 from itertools import combinations
 from typing import Iterator
 
+from atiyah4 import catalog
 from atiyah4.atiyah import hopf_lift, paired_lift
 
 
@@ -55,3 +56,19 @@ def reference_atiyah_matrix(points, pair_phases=None):
             coeffs = grown
         columns.append(coeffs)
     return [list(row) for row in zip(*columns)]
+
+
+def reference_eq52_residual():
+    """d4^2 - P4 - (4 z4 + v4^2)(d4 + 32 p4 + m4) - M4, every product expanded.
+
+    The route ``certify.check_eq52`` took before it compared orbit totals:
+    no symmetry is assumed, so an asymmetric ingredient shows in the result.
+    """
+    d4 = catalog.d4()
+    return (
+        d4 * d4
+        - catalog.big_p4()
+        - (4 * catalog.z4() + catalog.v4() ** 2)
+        * (d4 + 32 * catalog.p4() + catalog.m4())
+        - catalog.big_m4()
+    )

@@ -69,7 +69,7 @@ def test_criterion_4_rearrangement_identity():
     report = certify.check_eq52()
     record(
         4,
-        "d4^2 - P4 - (4 z4 + v4^2)(d4 + 32 p4 + m4) - M4 expands to zero",
+        "d4^2 = P4 + (4 z4 + v4^2)(d4 + 32 p4 + m4) + M4: symmetric sides, orbit totals balance",
         report.passed,
         f"{time.perf_counter() - started:.2f}s",
     )

@@ -350,6 +350,28 @@ def test_volume_refuses_non_geometric_input():
         volume_squared_scaled((10, 1, 1, 1, 1, 1))
 
 
+def test_volume_takes_the_determinant_once(monkeypatch):
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return cayley_menger_det(u)
+
+    monkeypatch.setattr(atiyah, "cayley_menger_det", counted)
+    for u in geometric_distance_samples(20, seed=5) + list(SPECIAL_VECTORS):
+        calls.clear()
+        assert volume_squared_scaled(u) == Fraction(cayley_menger_det(u)) / 2
+        assert len(calls) == 1
+    # Every face is a triangle, but two unit triangles hinged on an edge
+    # reach at most sqrt(3) apart: the volume test alone refuses this one.
+    hinged = (1, 1, 1, 1, 1, Fraction(19, 10))
+    assert all(t >= 0 for t in triangle_slacks(hinged))
+    assert cayley_menger_det(hinged) < 0
+    assert not is_geometric_candidate(hinged)
+    with pytest.raises(ValueError):
+        volume_squared_scaled(hinged)
+
+
 def test_special_vectors_shape():
     vectors34 = SPECIAL_VECTORS
     assert len(vectors34) == 21

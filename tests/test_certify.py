@@ -24,6 +24,7 @@ from atiyah4.certify import (
 )
 from atiyah4.polyring import Poly
 from atiyah4.symmetry import orbit_sum, sym_average
+from references import reference_eq52_residual
 
 
 def load_bundled(name):
@@ -198,6 +199,45 @@ def test_eq52_rearrangement_is_exactly_zero():
     report = check_eq52()
     assert report.passed
     assert report.residual.is_zero()
+    assert reference_eq52_residual().is_zero()
+
+
+def test_symmetric_m4_perturbation_fails_eq52_as_the_expansion_does(monkeypatch):
+    # M4 is cached from the true m4, so the residual is -(4 z4 + v4^2) delta:
+    # symmetric, so the orbit route must report it as the expansion does.
+    catalog.named_polynomials()  # fill the caches before m4 is replaced
+    delta = orbit_sum(polyring.variable("a") ** 2 * polyring.variable("y") ** 4)
+    perturbed = catalog.m4() + delta
+    monkeypatch.setattr(catalog, "m4", lambda: perturbed)
+    report = check_eq52()
+    expanded = certify._report("eq52", reference_eq52_residual())
+    assert not report.passed and not expanded.passed
+    assert report.residual == expanded.residual
+    assert report.worst_monomials == expanded.worst_monomials
+    assert report.summary() == expanded.summary()
+    assert report.summary().startswith("eq52: FAIL (residual has ")
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("d4", "eq52 d4"),
+        ("z4", r"eq52 multiplier 4 z4 \+ v4\^2"),
+        ("m4", r"eq52 cofactor d4 \+ 32 p4 \+ m4"),
+        ("big_p4", "eq52 P4"),
+        ("big_m4", "eq52 M4"),
+    ],
+)
+def test_eq52_refuses_an_asymmetric_side_or_factor(name, message, monkeypatch):
+    # Every side and both factors of each product must be symmetric: the
+    # orbit totals cannot see a skew whose average is zero.
+    catalog.named_polynomials()
+    a, b = polyring.variable("a"), polyring.variable("b")
+    original = getattr(catalog, name)()
+    skewed = original + (a**6 - b**6) * a ** (original.degree() - 6)
+    monkeypatch.setattr(catalog, name, lambda: skewed)
+    with pytest.raises(certify.ConstructionError, match=message + " is not symmetric"):
+        check_eq52()
 
 
 def test_perturbed_certificate_localizes_the_error():

@@ -268,6 +268,19 @@ def test_skewed_fixed_side_is_a_construction_fault(monkeypatch, capsys):
     assert entry["detail"] == "construction fault: sec3 fixed side is not symmetric"
 
 
+def test_skewed_eq52_factor_is_a_construction_fault(monkeypatch, capsys):
+    # eq52 takes no certificate; an asymmetric m4 must still fail the check
+    # with exit 1 rather than raise out of the command.
+    catalog.named_polynomials()  # fill the caches before m4 is replaced
+    a, b = catalog.A, catalog.B
+    skewed = catalog.m4() + a**6 - b**6
+    monkeypatch.setattr(catalog, "m4", lambda: skewed)
+    assert run_cli("--json", "verify", "eq52") == 1
+    (entry,) = json.loads(capsys.readouterr().out)["checks"]
+    assert entry["status"] == "fail"
+    assert entry["detail"] == "construction fault: eq52 cofactor d4 + 32 p4 + m4 is not symmetric"
+
+
 def test_verify_all_skips_deep_checks_when_base_fails(tmp_path, capsys):
     _copy_certs(tmp_path)
     _corrupt_coeff(tmp_path / "sec3.cert")

@@ -57,6 +57,16 @@ def test_additive_identity_and_inverse(f):
     assert f + (-f) == zero()
 
 
+@given(polys(), polys())
+def test_sub_is_add_of_the_negation_term_for_term(f, g):
+    # (f + g) - g and f - (f + g) make the merge cancel terms as well.
+    for left, right in ((f, g), (f + g, g), (f, f + g)):
+        expected = list((left + -right).terms.items())
+        got = list((left - right).terms.items())
+        assert got == expected
+        assert [type(c) for _, c in got] == [type(c) for _, c in expected]
+
+
 @given(polys(max_terms=4), polys(max_terms=4), polys(max_terms=4))
 @settings(max_examples=50)
 def test_mul_distributes(f, g, h):

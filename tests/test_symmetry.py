@@ -24,6 +24,7 @@ from atiyah4.symmetry import (
     orbit_totals,
     permute_mono,
     permute_tuple,
+    product_totals,
     self_test,
     sym_average,
 )
@@ -314,3 +315,50 @@ def test_orbit_table_fills_whole_orbits(point):
     assert set(table.members[canonical]) == images
     assert len(table.members[canonical]) == len(images)
     assert all(table.canonical_of[image] == canonical for image in images)
+
+
+@st.composite
+def forms(draw, degree, max_terms=5):
+    """Homogeneous polynomials of ``degree``, int and Fraction coefficients, maybe zero."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        slots = draw(st.lists(st.integers(min_value=0, max_value=5),
+                              min_size=degree, max_size=degree))
+        terms[tuple(slots.count(k) for k in range(6))] = draw(mixed_coeffs)
+    return Poly(terms)
+
+
+@pytest.mark.parametrize("deg_f, deg_g", [(0, 0), (0, 3), (2, 0), (1, 2), (3, 3), (4, 2)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_product_totals_are_the_totals_of_the_expanded_product(deg_f, deg_g, data):
+    # f is a raw draw, almost never symmetric; g is made symmetric.
+    f = data.draw(forms(deg_f))
+    h = data.draw(forms(deg_g))
+    g = data.draw(st.sampled_from([sym_average(h), orbit_sum(h)]))
+    assert product_totals(orbit_totals(f), g) == orbit_totals(f * g)
+
+
+@given(mixed_polys(max_terms=4), mixed_polys(max_terms=3))
+@settings(max_examples=80, deadline=None)
+def test_product_totals_of_mixed_degrees(f, h):
+    g = sym_average(h)
+    totals = product_totals(orbit_totals(f), g)
+    assert totals == orbit_totals(f * g)
+    assert all(total and (type(total) is int or total.denominator != 1)
+               for total in totals.values())
+
+
+def test_product_totals_of_zero_factors_are_empty():
+    a = variable("a")
+    assert product_totals({}, orbit_sum(a)) == {}
+    assert product_totals(orbit_totals(a), Poly({})) == {}
+    assert product_totals(orbit_totals(a - variable("b")), orbit_sum(a)) == {}
+
+
+def test_product_totals_need_a_symmetric_g():
+    # f = b has the totals of a, so with the asymmetric g = a the orbit of
+    # a^2 is credited where the product b a lies in the orbit of a b.
+    a, b = variable("a"), variable("b")
+    assert orbit_totals(b * a) == {orbit_canonical((1, 1, 0, 0, 0, 0)): 1}
+    assert product_totals(orbit_totals(b), a) == {(2, 0, 0, 0, 0, 0): 1}

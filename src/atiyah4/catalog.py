@@ -13,8 +13,8 @@ the package reasons about:
 * the twelve triangular variables ``t1 .. t12`` (triangle-inequality slack
   in each face), monomials ``t^alpha``, combinations sum(lam t^alpha)
   over a table, and the family ``T_ell`` of all averaged order-``ell``
-  monomials, each given by its integer orbit totals (the orbit form of
-  ``symmetry.orbit_totals``).
+  monomials, the last two by their orbit totals (the orbit form of
+  ``symmetry.orbit_totals``), which fix their averages.
 
 All constructions are cached; treat every returned Poly as immutable.
 """
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from . import polyring
 from .polyring import Coeff, Mono, Poly
-from .symmetry import ROWS, OrbitTable, OrbitVector, orbit_canonical, sym_average
+from .symmetry import ROWS, OrbitTable, OrbitVector, orbit_canonical, packed_totals, sym_average
 from .symmetry import orbit_sum  # noqa: F401  (perfbench/spans.py traces it here)
 
 A, B, C, X, Y, Z = polyring.variables()
@@ -225,8 +225,8 @@ def t_alpha_expand(alpha: Sequence[int]) -> Poly:
     return result
 
 
-def t_combination(terms: Iterable[tuple[Sequence[int], Coeff]]) -> Poly:
-    """Expand sum(lam * t^alpha) over a table as a Horner scheme over slots.
+def t_combination(terms: Iterable[tuple[Sequence[int], Coeff]]) -> OrbitVector:
+    """The orbit totals of sum(lam * t^alpha) over a table, by a Horner scheme over slots.
 
     Rows are grouped by their slot-1 exponent and each group's slots 2-12
     are summed the same way.  Walking the exponents downwards, each step
@@ -236,11 +236,12 @@ def t_combination(terms: Iterable[tuple[Sequence[int], Coeff]]) -> Poly:
     (S3 t1^2 + S1) t1: t_k is multiplied in once per unit step, never once
     per row.  All products run on packed keys at the width of the largest
     row order (``_times_form``, which adds a step's last product straight
-    into the next group's sum), and the total is unpacked once.
+    into the next group's sum), and the sum is folded by orbit on its
+    packed keys (``symmetry.packed_totals``).
     """
     rows = [(check_multi_index(alpha), lam) for alpha, lam in terms]
     if not rows:
-        return polyring.zero()
+        return {}
     width = polyring.pack_width(max(sum(alpha) for alpha, _ in rows))
     forms = _packed_forms(width)
 
@@ -263,7 +264,7 @@ def t_combination(terms: Iterable[tuple[Sequence[int], Coeff]]) -> Poly:
             total = _times_form(total, form)
         return total
 
-    return Poly._raw(polyring.unpacked(horner(rows, 0), width))
+    return packed_totals(horner(rows, 0), width)
 
 
 def enumerate_T(order: int) -> list[tuple[MultiIndex, OrbitVector]]:

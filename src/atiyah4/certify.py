@@ -18,16 +18,19 @@ passes only when there are none.  A side is reduced to its totals as
 soon as it is built, so no two sides are alive at once.  A report reads
 no clock, so it repeats exactly; ``cli`` times each check.
 
-The degree-12 products are never expanded.  The totals of f * g, for a
-symmetric g, follow from the totals of f (``symmetry.product_totals``):
-eq53 multiplies the mu table by 4 z4 + v4^2 that way, and eq52 takes
-d4 * d4 and (4 z4 + v4^2)(d4 + 32 p4 + m4) that way.  Every polynomial
-whose symmetry a check relies on passes ``_require_symmetric`` first.
+Every named side and every factor whose symmetry a check relies on
+enters orbit form through ``symmetry.symmetric_totals``, under a label
+that names it; an asymmetric one raises ``symmetry.ConstructionError``.
+The degree-12 products are never expanded: ``symmetry.product_totals``
+multiplies two orbit vectors, the second of a symmetric factor.  eq53
+multiplies the mu table by 4 z4 + v4^2 that way, and eq52 takes d4 * d4
+and (4 z4 + v4^2)(d4 + 32 p4 + m4) that way.
 
-A coefficient table is expanded as one polynomial, sum(coeff * t^alpha),
-by ``catalog.t_combination``: a Horner scheme over the twelve slots on
-packed keys that multiplies t_k in once per exponent step rather than
-once per row.
+A coefficient table, sum(coeff * t^alpha), goes straight to its orbit
+totals by ``catalog.t_combination``: a Horner scheme over the twelve
+slots on packed keys that multiplies t_k in once per exponent step rather
+than once per row.  Only its average enters a check, so the table side
+needs no symmetry.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from . import catalog, polyring
 from .catalog import MultiIndex
 from .catalog import t_alpha_expand  # noqa: F401  (perfbench/spans.py traces it here)
 from .polyring import Coeff, Mono, Poly, mono_key
-from .symmetry import OrbitVector, average_of_totals, is_symmetric, orbit_totals, product_totals
+from .symmetry import OrbitVector, average_of_totals, product_totals, symmetric_totals
 from .symmetry import orbit_sum  # noqa: F401  (perfbench/spans.py traces it here)
 
 WORST_MONOMIALS_SHOWN = 10
@@ -245,31 +248,10 @@ def _require_shape(cert: Certificate, cert_id: str, scale: int, order: int,
                 )
 
 
-class ConstructionError(ValueError):
-    """A side a check builds from the named polynomials is malformed.
-
-    It is raised apart from the ValueError of a bad certificate, so that a
-    fault in ``catalog`` is not blamed on a sound certificate.
-    """
-
-
-def _require_symmetric(label: str, poly: Poly) -> None:
-    # Only a symmetric side is determined by its orbit totals: without this
-    # an asymmetric part whose average is zero would pass unseen.
-    if not is_symmetric(poly):
-        raise ConstructionError(f"{label} is not symmetric")
-
-
-def _symmetric_totals(label: str, poly: Poly) -> OrbitVector:
-    """The orbit totals of ``poly``, once it has passed ``_require_symmetric``."""
-    _require_symmetric(label, poly)
-    return orbit_totals(poly)
-
-
 # Not used by the checks; perfbench/spans.py traces it here.
 def combination_orbit_sum(terms: tuple[tuple[MultiIndex, int], ...]) -> Poly:
     """Integer polynomial sum of coeff * (24 av[t^alpha]) over the table."""
-    return orbit_sum(catalog.t_combination(terms))
+    return orbit_sum(average_of_totals(catalog.t_combination(terms)))
 
 
 def _residual(fixed: OrbitVector, *sides: OrbitVector) -> Poly:
@@ -303,7 +285,7 @@ def check_sec3(cert: Certificate) -> ResidualReport:
     """Degree-6 identity: 3 d4 = 188 p4 + 10 z4 + 4 n4 + 2 v4^2 + sum."""
     _require_shape(cert, "sec3-188/3", 3, 6)
     residual = _residual(
-        _symmetric_totals(
+        symmetric_totals(
             "sec3 fixed side",
             3 * catalog.d4()
             - 188 * catalog.p4()
@@ -311,7 +293,7 @@ def check_sec3(cert: Certificate) -> ResidualReport:
             - 4 * catalog.n4()
             - 2 * catalog.v4() ** 2,
         ),
-        orbit_totals(catalog.t_combination(cert.terms)),
+        catalog.t_combination(cert.terms),
     )
     return _report("sec3-188/3", residual)
 
@@ -320,8 +302,8 @@ def check_eq42(cert: Certificate) -> ResidualReport:
     """Degree-12 identity: 64 p4 m4 equals the averaged combination."""
     _require_shape(cert, "eq42", 64, 12)
     residual = _residual(
-        _symmetric_totals("eq42 fixed side", 64 * (catalog.p4() * catalog.m4())),
-        orbit_totals(catalog.t_combination(cert.terms)),
+        symmetric_totals("eq42 fixed side", 64 * (catalog.p4() * catalog.m4())),
+        catalog.t_combination(cert.terms),
     )
     return _report("eq42", residual)
 
@@ -330,16 +312,16 @@ def check_eq53(cert: Certificate) -> ResidualReport:
     """Degree-12 identity: 128 M4 = (4 z4 + v4^2) sum_mu + sum_nu.
 
     The multiplier M is symmetric, so av(M P) = M av(P) for the mu table
-    P, and the totals of M P come from those of P by ``product_totals``:
-    the degree-12 product is never expanded.
+    P, and the totals of M P come from those of P and M by
+    ``product_totals``: the degree-12 product is never expanded.
     """
     _require_shape(cert, "eq53", 128, 12, multiplier_order=6)
-    multiplier = 4 * catalog.z4() + catalog.v4() ** 2
-    _require_symmetric("eq53 multiplier 4 z4 + v4^2", multiplier)
+    multiplier = symmetric_totals("eq53 multiplier 4 z4 + v4^2",
+                                  4 * catalog.z4() + catalog.v4() ** 2)
     residual = _residual(
-        _symmetric_totals("eq53 fixed side", 128 * catalog.big_m4()),
-        product_totals(orbit_totals(catalog.t_combination(cert.multiplier_terms)), multiplier),
-        orbit_totals(catalog.t_combination(cert.terms)),
+        symmetric_totals("eq53 fixed side", 128 * catalog.big_m4()),
+        product_totals(catalog.t_combination(cert.multiplier_terms), multiplier),
+        catalog.t_combination(cert.terms),
     )
     return _report("eq53", residual)
 
@@ -351,22 +333,22 @@ def check_eq52() -> ResidualReport:
     identity is forced by the definitions of m4 and M4 and the check
     guards the constructions rather than any table.  It is a polynomial
     identity, not an averaged one, so every side and both factors of each
-    product must be symmetric; then the sides balance exactly when their
-    orbit totals do, and the products are taken by ``product_totals``.
-    The multiplier has 26 orbits and the cofactor 28, so the multiplier
-    goes on the totals side.
+    product enter orbit form through ``symmetric_totals``; then the sides
+    balance exactly when their orbit totals do, and the products are taken
+    by ``product_totals``.  The multiplier has 26 orbits and the cofactor
+    28, so the multiplier goes on the f side.
     """
     d4 = catalog.d4()
-    multiplier = 4 * catalog.z4() + catalog.v4() ** 2
-    cofactor = d4 + 32 * catalog.p4() + catalog.m4()
-    _require_symmetric("eq52 d4", d4)
-    _require_symmetric("eq52 multiplier 4 z4 + v4^2", multiplier)
-    _require_symmetric("eq52 cofactor d4 + 32 p4 + m4", cofactor)
+    d4_totals = symmetric_totals("eq52 d4", d4)
+    multiplier = symmetric_totals("eq52 multiplier 4 z4 + v4^2",
+                                  4 * catalog.z4() + catalog.v4() ** 2)
+    cofactor = symmetric_totals("eq52 cofactor d4 + 32 p4 + m4",
+                                d4 + 32 * catalog.p4() + catalog.m4())
     residual = _residual(
-        product_totals(orbit_totals(d4), d4),
-        _symmetric_totals("eq52 P4", catalog.big_p4()),
-        product_totals(orbit_totals(multiplier), cofactor),
-        _symmetric_totals("eq52 M4", catalog.big_m4()),
+        product_totals(d4_totals, d4_totals),
+        symmetric_totals("eq52 P4", catalog.big_p4()),
+        product_totals(multiplier, cofactor),
+        symmetric_totals("eq52 M4", catalog.big_m4()),
     )
     return _report("eq52", residual)
 

@@ -19,7 +19,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from . import atiyah, catalog, certify, lp
+from . import atiyah, catalog, certify, lp, symmetry
 
 
 class UsageError(Exception):
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative tolerance for numeric comparisons, in (0, 1) (default 1e-8)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, metavar="S", help="campaign seed (default 0)"
+        "--seed", type=int, default=0, metavar="S", help="nonnegative campaign seed (default 0)"
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json", help="machine-readable output"
@@ -123,7 +123,7 @@ def _verdict(check: Callable[[], certify.ResidualReport]) -> tuple[bool, str]:
     """Run an identity check; a malformed named polynomial fails it as a construction fault."""
     try:
         report = check()
-    except certify.ConstructionError as exc:
+    except symmetry.ConstructionError as exc:
         return False, f"construction fault: {exc}"
     return report.passed, report.summary()
 
@@ -229,6 +229,8 @@ def cmd_lp(args) -> tuple[str, list[dict]]:
     started = time.perf_counter()
     try:
         basis = lp.standard_basis(extras)
+    except symmetry.ConstructionError:
+        raise  # a fault in catalog, not in the request
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     basis_ms = _ms_since(started)
@@ -375,6 +377,9 @@ def main(argv=None) -> int:
         # most 1, so a tolerance of 1 or more would pass them.
         if not 0 < args.tol < 1:
             raise UsageError(f"--tol must be a finite positive number below 1, got {args.tol!r}")
+        # random.Random seeds from |n|, so a negative seed would replay a positive one.
+        if args.seed < 0:
+            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
         command, checks = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,16 +10,16 @@ alpha is split into a difference of two nonnegative variables.
 The reported optima (32, 60, 188/3, 64) are exact rational statements,
 not floating-point estimates.  A solve takes three steps:
 
-1. Rows by orbit.  Every side of the identity is symmetric: the T6
-   columns are orbit vectors (``symmetry.OrbitVector``), symmetric by
-   construction, and d4, p4 and every column given as a Poly are checked
-   with ``is_symmetric``.  So each side is fixed by its orbit totals
-   (``symmetry.orbit_totals``), and one row per orbit-canonical monomial,
-   stating that both sides have the same total on that orbit, says all
-   (32 rows at degree 6 instead of 462).  Every entry is an int for the
-   standard columns.  Every orbit row goes to the simplex; rows that are
-   combinations of others need no removal first, as phase 1 drops each
-   row left without a pivot.
+1. Rows by orbit.  Every side of the identity is symmetric, so each is
+   fixed by its orbit totals, and every column is given in that form, as
+   an orbit vector (``symmetry.OrbitVector``).  The T6 columns are
+   symmetric by construction; d4, p4 and the named extras enter through
+   ``symmetry.symmetric_totals``, which refuses an asymmetric polynomial.
+   One row per orbit-canonical monomial, stating that both sides have the
+   same total on that orbit, says all (32 rows at degree 6 instead of
+   462).  Every entry is an int for the standard columns.  Every orbit
+   row goes to the simplex; rows that are combinations of others need no
+   removal first, as phase 1 drops each row left without a pivot.
 2. Float basis.  The tableau simplex runs in float, with steepest-edge
    pricing (Goldfarb & Reid, Math. Programming 1977), a zero tolerance
    and a pivot cap, to find a candidate optimal basis B.
@@ -59,14 +59,7 @@ from . import catalog
 from .catalog import enumerate_T, format_alpha
 from .linalg import gauss_jordan
 from .polyring import EXACT_TYPES, N_VARS, Coeff, Mono, Poly, mono_key
-from .symmetry import (
-    OrbitVector,
-    average_of_totals,
-    is_symmetric,
-    orbit,
-    orbit_canonical,
-    orbit_totals,
-)
+from .symmetry import OrbitVector, average_of_totals, orbit, orbit_canonical, symmetric_totals
 
 DEGREE = 6
 
@@ -116,34 +109,26 @@ class BoundReport:
 WITNESS = (9, 8, 1, 1, 7, 8)
 
 
-#: An LP column: a Poly, or a symmetric polynomial by its orbit totals.
-Column = Union[Poly, OrbitVector]
+def _checked_column(name: str, column: OrbitVector) -> OrbitVector:
+    """The column, once it is checked to be a well-formed orbit vector.
 
-
-def _orbit_form(name: str, column: Column) -> OrbitVector:
-    """The column's orbit totals.
-
-    Every coefficient must be an int or a Fraction, so nothing inexact
-    reaches the exact rows.  A Poly must be nonzero, homogeneous of degree
-    6 and symmetric.  An orbit vector is symmetric by construction, so it
-    is only checked to be well formed: nonempty, with nonzero totals on
+    An orbit vector stands for a symmetric polynomial, so it is only
+    checked to be well formed: a dict, nonempty, with nonzero int or
+    Fraction totals (nothing inexact reaches the exact rows) on
     orbit-canonical degree-6 monomials.
     """
-    terms = column.terms if isinstance(column, Poly) else column
-    for mono, coeff in terms.items():
+    if not isinstance(column, dict):
+        raise ValueError(
+            f"column {name!r} is a {type(column).__name__}, not an orbit vector; "
+            "symmetry.symmetric_totals takes a polynomial to one"
+        )
+    if not column:
+        raise ValueError(f"orbit vector {name!r} is empty")
+    for mono, coeff in column.items():
         if type(coeff) not in EXACT_TYPES:
             raise ValueError(
                 f"column {name!r} has coefficient {coeff!r} on {mono}, not an int or Fraction"
             )
-    if isinstance(column, Poly):
-        if column.is_zero() or not column.is_homogeneous(DEGREE):
-            raise ValueError(f"basis column {name!r} is not homogeneous of degree {DEGREE}")
-        if not is_symmetric(column):
-            raise ValueError(f"column {name!r} is not symmetric")
-        return orbit_totals(column)
-    if not column:
-        raise ValueError(f"orbit vector {name!r} is empty")
-    for mono, coeff in column.items():
         if len(mono) != N_VARS or min(mono) < 0 or sum(mono) != DEGREE:
             raise ValueError(
                 f"orbit vector {name!r} has {mono}, not a monomial of degree {DEGREE}"
@@ -155,11 +140,11 @@ def _orbit_form(name: str, column: Column) -> OrbitVector:
     return column
 
 
-def build_program(basis: Sequence[tuple[str, Column]]) -> LpProblem:
+def build_program(basis: Sequence[tuple[str, OrbitVector]]) -> LpProblem:
     """Assemble the coefficient-matching rows for the given basis columns.
 
-    Every basis column must be symmetric and homogeneous of degree 6 (see
-    :func:`_orbit_form`); rows cover the orbits meeting d4, p4 or the
+    Every basis column must be an orbit vector of degree 6 (see
+    :func:`_checked_column`); rows cover the orbits meeting d4, p4 or the
     basis, one row per orbit-canonical monomial, in descending graded-lex
     order.
     """
@@ -167,15 +152,19 @@ def build_program(basis: Sequence[tuple[str, Column]]) -> LpProblem:
     if len(set(names)) != len(names):
         raise ValueError("duplicate column names in basis")
     # Soundness of one row per orbit: each side of d4 = alpha p4 + sum
-    # lambda_j f_j is symmetric (checked or by construction), so each side
-    # is constant on every orbit of the action, and so is their difference.
-    # The orbit total of a side is |orbit(c)| times its coefficient on each
-    # member of orbit(c), so equal totals mean equal coefficients on every
-    # monomial of the orbit, and the rows below state the full polynomial
-    # identity.
+    # lambda_j f_j is symmetric (checked at the door or by construction), so
+    # each side is constant on every orbit of the action, and so is their
+    # difference.  The orbit total of a side is |orbit(c)| times its
+    # coefficient on each member of orbit(c), so equal totals mean equal
+    # coefficients on every monomial of the orbit, and the rows below state
+    # the full polynomial identity.
     d4, *columns = (  # columns[0] is p4, the alpha column
-        _orbit_form(name, column)
-        for name, column in (("d4", catalog.d4()), ("p4", catalog.p4()), *basis)
+        _checked_column(name, column)
+        for name, column in (
+            ("d4", symmetric_totals("column 'd4'", catalog.d4())),
+            ("p4", symmetric_totals("column 'p4'", catalog.p4())),
+            *basis,
+        )
     )
     support = set(d4).union(*columns)
     monomials = tuple(sorted(support, key=mono_key, reverse=True))
@@ -466,14 +455,13 @@ def _reconstructs(problem: LpProblem, alpha: Fraction,
     return _dots(x, problem.matrix) == list(problem.rhs)
 
 
-def combination_polynomial(basis: Sequence[tuple[str, Column]],
+def combination_polynomial(basis: Sequence[tuple[str, OrbitVector]],
                            solution: LpSolution) -> Poly:
     """alpha p4 + sum lambda_j f_j, for an independent equality check.
 
-    Only the columns with a nonzero multiplier are written out; orbit
-    vectors go through ``symmetry.average_of_totals``, not through the
-    program rows, so comparing the result with d4 on every monomial checks
-    the row build.
+    Only the columns with a nonzero multiplier are written out, through
+    ``symmetry.average_of_totals``, not through the program rows, so
+    comparing the result with d4 on every monomial checks the row build.
     """
     if solution.objective is None:
         raise ValueError("solution has no objective value")
@@ -481,21 +469,24 @@ def combination_polynomial(basis: Sequence[tuple[str, Column]],
     for name, column in basis:
         lam = solution.multipliers.get(name, Fraction(0))
         if lam:
-            poly = column if isinstance(column, Poly) else average_of_totals(column)
-            result = result + poly.scale(lam)
+            result = result + average_of_totals(column).scale(lam)
     return result
 
 
-def standard_basis(extras: Sequence[str] = ()) -> list[tuple[str, Column]]:
-    """Named extra columns (z4 | n4 | v4sq, as Polys) then the T6 orbit vectors."""
+def standard_basis(extras: Sequence[str] = ()) -> list[tuple[str, OrbitVector]]:
+    """Named extra columns (z4 | n4 | v4sq) then the T6 columns, all as orbit vectors.
+
+    An extra enters through ``symmetry.symmetric_totals``, labelled
+    ``column '<name>'``.
+    """
     allowed = {"z4": catalog.z4, "n4": catalog.n4, "v4sq": lambda: catalog.v4() ** 2}
-    basis: list[tuple[str, Column]] = []
+    basis: list[tuple[str, OrbitVector]] = []
     for name in extras:
         if name not in allowed:
             raise ValueError(f"unknown extra column {name!r}; choose from z4, n4, v4sq")
         if name in dict(basis):
             raise ValueError(f"extra column {name!r} given twice")
-        basis.append((name, allowed[name]()))
+        basis.append((name, symmetric_totals(f"column {name!r}", allowed[name]())))
     for alpha, vector in enumerate_T(DEGREE):
         basis.append((f"av[t^{format_alpha(alpha)}]", vector))
     return basis

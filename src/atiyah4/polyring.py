@@ -118,10 +118,6 @@ class Poly:
             return None
         return max(map(sum, self.terms))
 
-    def is_homogeneous(self, degree: int) -> bool:
-        """True if every term has total degree ``degree``; the zero polynomial is."""
-        return all(sum(m) == degree for m in self.terms)
-
     def sorted_terms(self) -> list[tuple[Mono, Coeff]]:
         """Terms in descending graded-lex order (leading term first)."""
         return sorted(self.terms.items(), key=lambda item: mono_key(item[0]), reverse=True)
@@ -256,13 +252,6 @@ class Poly:
         return f"Poly({' + '.join(parts)}{tail})"
 
 
-# -- constructors ----------------------------------------------------------
-
-
-def zero() -> Poly:
-    return Poly._raw({})
-
-
 # -- packed keys -------------------------------------------------------------
 
 
@@ -335,6 +324,9 @@ def unpacked(terms: Mapping[int, Coeff], width: int) -> dict[Mono, Coeff]:
                 coeff = coeff.numerator
             result[unpack(key, width)] = coeff
     return result
+
+
+# -- constructors ----------------------------------------------------------
 
 
 def constant(value: Coeff) -> Poly:

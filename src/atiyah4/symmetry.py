@@ -23,8 +23,11 @@ exponents in ``catalog``.  A symmetric polynomial is fixed by its orbit
 totals, one per orbit-canonical monomial (Gatermann & Parrilo, "Symmetry
 groups, semidefinite programs, and sums of squares", 2004): they are the
 one orbit form of the package, which ``certify`` compares and the linear
-programs of ``lp`` are written in (:func:`orbit_totals`).  A product with
-a symmetric factor is taken in that form too (:func:`product_totals`).
+programs of ``lp`` are written in (:func:`orbit_totals`).  They stand
+for the polynomial itself only when it is symmetric, so a polynomial
+taken as symmetric enters orbit form through one door,
+:func:`symmetric_totals`.  Products are taken in that form too
+(:func:`product_totals`).
 """
 
 from __future__ import annotations
@@ -170,12 +173,39 @@ def orbit_totals(poly: Poly) -> OrbitVector:
     return {c: normalize_coeff(total) for c, total in totals.items() if total}
 
 
-def product_totals(totals: Mapping[Mono, Coeff], g: Poly) -> OrbitVector:
-    """``orbit_totals(f * g)`` from ``totals = orbit_totals(f)`` and a symmetric ``g``.
+class ConstructionError(ValueError):
+    """A polynomial taken as symmetric is not: a fault in how it was built, not in the input."""
 
-    Each orbit of f stands in for all its members: for every canonical r
-    of ``totals`` and every term m of g, totals[r] * g[m] is added into the
-    total of orbit(r + m).  Only g must be symmetric; f may be anything.
+
+def symmetric_totals(label: str, poly: Poly) -> OrbitVector:
+    """``orbit_totals(poly)``, the one door into orbit form for a polynomial taken as symmetric.
+
+    An asymmetric ``poly`` is refused with ``"<label> is not symmetric"``:
+    its totals fix only its average, so a skew part averaging to zero
+    would pass unseen.
+    """
+    if not is_symmetric(poly):
+        raise ConstructionError(f"{label} is not symmetric")
+    return orbit_totals(poly)
+
+
+def packed_totals(terms: Mapping[int, Coeff], width: int) -> OrbitVector:
+    """The orbit totals of a polynomial on keys packed at ``width``, each key unpacked once."""
+    totals: dict[Mono, Coeff] = {}
+    get = totals.get
+    for key, coeff in terms.items():
+        canonical = orbit_canonical(unpack(key, width))
+        totals[canonical] = get(canonical, 0) + coeff
+    return {c: normalize_coeff(total) for c, total in totals.items() if total}
+
+
+def product_totals(f_totals: Mapping[Mono, Coeff], g_totals: Mapping[Mono, Coeff]) -> OrbitVector:
+    """``orbit_totals(f * g)`` from ``orbit_totals(f)`` and the totals of a symmetric g.
+
+    g is written out as ``average_of_totals(g_totals)``, symmetric by
+    construction.  Each orbit of f stands in for all its members: for every
+    canonical r of ``f_totals`` and every term m of g, f_totals[r] * g[m]
+    is added into the total of orbit(r + m).  Only g must be symmetric.
 
     Why this is exact: the total of orbit(c) in f g sums f[m1] g[m2] over
     the pairs with m1 + m2 in orbit(c).  Take a pair with m1 = sigma r,
@@ -184,23 +214,18 @@ def product_totals(totals: Mapping[Mono, Coeff], g: Poly) -> OrbitVector:
     symmetric.  As m2 runs over all monomials so does sigma^-1 m2, so the
     pairs led by m1 contribute f[m1] times the same sum S(r, c) of g over
     {m : r + m in orbit(c)} as the pairs led by r.  Summed over orbit(r),
-    f contributes totals[r] * S(r, c), which is what the loop adds.
+    f contributes f_totals[r] * S(r, c), which is what the loop adds.
 
     So a product costs (orbits of f) x (terms of g) pair products on packed
     keys, against (terms of f) x (terms of g) to expand it, and the product
-    itself is never built: only its distinct packed keys are unpacked, to
-    find their orbits.  When both factors are symmetric, the caller puts
-    the one with fewer orbits on the ``totals`` side.
+    itself is never built (:func:`packed_totals`).  When both factors are
+    symmetric, the caller puts the one with fewer orbits on the f side.
     """
-    if not totals or not g.terms:
+    if not f_totals or not g_totals:
         return {}
-    width = pack_width(max(map(sum, totals)) + g.degree())
-    result: dict[Mono, Coeff] = {}
-    get = result.get
-    for key, value in packed_product(totals, g.terms, width).items():
-        canonical = orbit_canonical(unpack(key, width))
-        result[canonical] = get(canonical, 0) + value
-    return {c: normalize_coeff(total) for c, total in result.items() if total}
+    g = average_of_totals(g_totals)
+    width = pack_width(max(map(sum, f_totals)) + g.degree())
+    return packed_totals(packed_product(f_totals, g.terms, width), width)
 
 
 def orbit(mono: Mono) -> tuple[Mono, ...]:

@@ -5,6 +5,7 @@ from typing import Iterator
 
 from atiyah4 import catalog
 from atiyah4.atiyah import hopf_lift, paired_lift
+from atiyah4.symmetry import symmetric_totals
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -72,3 +73,12 @@ def reference_eq52_residual():
         * (d4 + 32 * catalog.p4() + catalog.m4())
         - catalog.big_m4()
     )
+
+
+def orbit_columns(basis):
+    """LP columns from (name, Poly) pairs, each through ``symmetry.symmetric_totals``.
+
+    An asymmetric polynomial is refused as ``lp.standard_basis`` refuses
+    an extra: ``column '<name>' is not symmetric``.
+    """
+    return [(name, symmetric_totals(f"column {name!r}", poly)) for name, poly in basis]

@@ -27,7 +27,7 @@ from atiyah4.atiyah import (
     triangle_slacks,
     volume_squared_scaled,
 )
-from atiyah4.polyring import VAR_NAMES, constant, variable, zero
+from atiyah4.polyring import VAR_NAMES, Poly, constant, variable
 from atiyah4.symmetry import permute_tuple
 from references import reference_atiyah_matrix
 
@@ -299,7 +299,7 @@ def test_z4_is_half_the_cayley_menger_determinant():
         [1, z2, y2, 0, c2],
         [1, a2, b2, c2, 0],
     ]
-    det = zero()
+    det = Poly({})
     for perm in permutations(range(5)):
         inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
         term = constant((-1) ** inversions)

@@ -13,12 +13,18 @@ from pathlib import Path
 import pytest
 
 import atiyah4
-from atiyah4 import catalog, certify, lp
+from atiyah4 import catalog, certify, lp, symmetry
 from atiyah4.cli import build_parser, main, resolve_cert_dir
+from references import orbit_columns
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def gap_basis(extras):
+    """A one-column basis, d4 - 64 p4, in place of ``lp.standard_basis``."""
+    return orbit_columns([("gap", catalog.d4() - 64 * catalog.p4())])
 
 
 def test_eval_prints_exact_values(capsys):
@@ -132,11 +138,10 @@ def test_lp_flag_validation(monkeypatch, capsys):
         assert "empty name in --extra" in capsys.readouterr().err
     # An empty list as a whole still means no extras.
     requested = []
-    gap = catalog.d4() - 64 * catalog.p4()
 
     def basis(extras):
         requested.append(extras)
-        return [("gap", gap)]
+        return gap_basis(extras)
 
     monkeypatch.setattr(lp, "standard_basis", basis)
     assert run_cli("lp", "--extra", "") == 0
@@ -151,6 +156,16 @@ def test_tolerance_must_be_finite_and_positive(tol, capsys):
     assert "overall" not in captured.out
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    # random.Random seeds from |n|, so config seed -1 * 1000003 + 0 would
+    # replay config seed 1 * 1000003 + 0: --seed -1 would report --seed 1.
+    assert run_cli("--seed", "-1", "sample", "--count", "1") == 2
+    captured = capsys.readouterr()
+    assert "--seed must be nonnegative, got -1" in captured.err
+    assert "overall" not in captured.out
+    assert run_cli("--seed", "0", "sample", "--count", "1") == 0
+
+
 @pytest.mark.parametrize("argv", [("sample", "--count", "50"), ("verify", "factorization")])
 @pytest.mark.parametrize("tol, code", [("1e-8", 1), ("0.5", 1), ("1", 2)])
 def test_zero_evaluators_never_pass(monkeypatch, argv, tol, code):
@@ -162,8 +177,7 @@ def test_zero_evaluators_never_pass(monkeypatch, argv, tol, code):
 
 
 def test_lp_report_carries_the_route(monkeypatch, capsys):
-    gap = catalog.d4() - 64 * catalog.p4()
-    monkeypatch.setattr(lp, "standard_basis", lambda extras: [("gap", gap)])
+    monkeypatch.setattr(lp, "standard_basis", gap_basis)
     assert run_cli("--json", "lp") == 0
     entry = json.loads(capsys.readouterr().out)["checks"][0]
     assert entry["alpha"] == "64"
@@ -176,8 +190,7 @@ def test_lp_report_carries_the_route(monkeypatch, capsys):
 
 
 def test_lp_report_carries_the_fallback_route(monkeypatch, capsys):
-    gap = catalog.d4() - 64 * catalog.p4()
-    monkeypatch.setattr(lp, "standard_basis", lambda extras: [("gap", gap)])
+    monkeypatch.setattr(lp, "standard_basis", gap_basis)
     monkeypatch.setattr(lp, "FLOAT_PIVOT_CAP", 0)
     assert run_cli("--json", "lp") == 0
     entry = json.loads(capsys.readouterr().out)["checks"][0]
@@ -281,6 +294,17 @@ def test_skewed_eq52_factor_is_a_construction_fault(monkeypatch, capsys):
     assert entry["detail"] == "construction fault: eq52 cofactor d4 + 32 p4 + m4 is not symmetric"
 
 
+def test_skewed_lp_extra_is_not_a_usage_error(monkeypatch):
+    # An asymmetric named polynomial is a fault in catalog, not in the
+    # request, so lp raises it rather than answering exit 2.
+    catalog.named_polynomials()
+    a, b = catalog.A, catalog.B
+    skewed = catalog.z4() + a**6 - b**6
+    monkeypatch.setattr(catalog, "z4", lambda: skewed)
+    with pytest.raises(symmetry.ConstructionError, match="^column 'z4' is not symmetric$"):
+        run_cli("lp", "--extra", "z4")
+
+
 def test_verify_all_skips_deep_checks_when_base_fails(tmp_path, capsys):
     _copy_certs(tmp_path)
     _corrupt_coeff(tmp_path / "sec3.cert")
@@ -364,8 +388,7 @@ def test_closed_stdout_exits_quietly_with_the_report_code(tmp_path):
 
 
 def test_ceiling_entry_is_timed(monkeypatch, capsys):
-    gap = catalog.d4() - 64 * catalog.p4()
-    monkeypatch.setattr(lp, "standard_basis", lambda extras: [("gap", gap)])
+    monkeypatch.setattr(lp, "standard_basis", gap_basis)
     real_check = lp.upper_bound_check
 
     def slow_check(problem):
@@ -395,11 +418,10 @@ def test_certificate_entry_is_timed_with_its_load(monkeypatch, capsys):
 
 
 def test_basis_build_is_timed_apart_from_the_solve(monkeypatch, capsys):
-    gap = catalog.d4() - 64 * catalog.p4()
 
     def slow_basis(extras):
         time.sleep(0.3)
-        return [("gap", gap)]
+        return gap_basis(extras)
 
     monkeypatch.setattr(lp, "standard_basis", slow_basis)
     assert run_cli("--json", "lp") == 0
@@ -410,14 +432,13 @@ def test_basis_build_is_timed_apart_from_the_solve(monkeypatch, capsys):
 
 
 def test_solve_is_timed_inside_the_entry(monkeypatch, capsys):
-    gap = catalog.d4() - 64 * catalog.p4()
     real_solve = lp.solve
 
     def slow_solve(problem):
         time.sleep(0.3)
         return real_solve(problem)
 
-    monkeypatch.setattr(lp, "standard_basis", lambda extras: [("gap", gap)])
+    monkeypatch.setattr(lp, "standard_basis", gap_basis)
     monkeypatch.setattr(lp, "solve", slow_solve)
     assert run_cli("--json", "lp") == 0
     entry = json.loads(capsys.readouterr().out)["checks"][0]

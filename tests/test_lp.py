@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from atiyah4 import catalog, certify, lp
+from atiyah4 import catalog, certify, lp, symmetry
 from atiyah4.linalg import gauss_jordan
 from atiyah4.polyring import Poly, normalize_coeff, variable
 from atiyah4.symmetry import (
@@ -36,26 +36,26 @@ from atiyah4.lp import (
     standard_basis,
     upper_bound_check,
 )
-from references import compositions
+from references import compositions, orbit_columns
 
 
 def gap_basis():
-    return [("gap", catalog.d4() - 64 * catalog.p4())]
+    return orbit_columns([("gap", catalog.d4() - 64 * catalog.p4())])
 
 
 def test_gap_fixture_reaches_the_ceiling():
-    gap = catalog.d4() - 64 * catalog.p4()
-    problem = build_program([("gap", gap)])
+    basis = gap_basis()
+    problem = build_program(basis)
     solution = solve(problem)
     assert solution.status == "optimal"
     assert solution.objective == 64
     assert solution.multipliers["gap"] == 1
     assert solution.route == "certified" and solution.certificate == "verified"
-    assert combination_polynomial([("gap", gap)], solution) == catalog.d4()
+    assert combination_polynomial(basis, solution) == catalog.d4()
 
 
 def test_single_z4_column_is_infeasible():
-    problem = build_program([("z4", catalog.z4())])
+    problem = build_program(orbit_columns([("z4", catalog.z4())]))
     solution = solve(problem)
     assert solution.status == "infeasible"
     assert solution.objective is None
@@ -64,7 +64,7 @@ def test_single_z4_column_is_infeasible():
 
 
 def test_unbounded_program_is_detected():
-    basis = [("whole", catalog.d4()), ("negp4", -catalog.p4())]
+    basis = orbit_columns([("whole", catalog.d4()), ("negp4", -catalog.p4())])
     problem = build_program(basis)
     solution = solve(problem)
     assert solution.status == "unbounded"
@@ -81,7 +81,7 @@ def sec3_basis():
     for alpha, _ in cert.terms:
         average = sym_average(catalog.t_alpha_expand(alpha))
         basis.append((f"av[t^{catalog.format_alpha(alpha)}]", average))
-    return basis
+    return orbit_columns(basis)
 
 
 def test_certificate_support_reproduces_the_best_bound():
@@ -128,7 +128,7 @@ def test_unbounded_float_phase_one_takes_the_exact_fallback():
     # 96 is d4's largest orbit total, so every entry of this column is at
     # most 5e-10, below FLOAT_TOL: the float ratio test finds no row.
     eps = Fraction(5, 10**10) / 96
-    solution = solve(build_program([("tiny", catalog.d4().scale(eps))]))
+    solution = solve(build_program(orbit_columns([("tiny", catalog.d4().scale(eps))])))
     assert solution.status == "optimal"
     assert solution.objective == 0
     assert solution.multipliers == {"tiny": 1 / eps}
@@ -332,7 +332,7 @@ def test_solve_weighs_every_orbit_row(monkeypatch):
 
 def test_checker_reads_a_missing_multiplier_as_zero_and_refuses_an_unknown_one(monkeypatch):
     # A certificate that stores only its support leaves the other columns out.
-    problem = build_program([*gap_basis(), ("z4", catalog.z4())])
+    problem = build_program([*gap_basis(), *orbit_columns([("z4", catalog.z4())])])
     assert lp.check_optimality(problem, 64, {"gap": 1}, {}) == "column alpha has y value 0"
     solution, seen = _solve_recording_checks(problem, monkeypatch)
     assert solution.objective == 64 and solution.certificate == "verified"
@@ -344,14 +344,15 @@ def test_checker_reads_a_missing_multiplier_as_zero_and_refuses_an_unknown_one(m
 
 def test_build_program_rejects_duplicate_names():
     with pytest.raises(ValueError):
-        build_program([("f", catalog.z4()), ("f", catalog.n4())])
+        build_program(orbit_columns([("f", catalog.z4()), ("f", catalog.n4())]))
 
 
 def test_build_program_rejects_wrong_degree():
-    with pytest.raises(ValueError):
-        build_program([("v4", catalog.v4())])
-    with pytest.raises(ValueError):
-        build_program([("mixed", catalog.z4() + catalog.v4())])
+    a = variable("a")
+    with pytest.raises(ValueError, match="'p4 a' has .*, not a monomial of degree 6"):
+        build_program(orbit_columns([("p4 a", orbit_sum(catalog.p4() * a))]))
+    with pytest.raises(ValueError, match="'mixed' has .*, not a monomial of degree 6"):
+        build_program(orbit_columns([("mixed", catalog.z4() + orbit_sum(a ** 3))]))
 
 
 def test_standard_basis_validates_extras():
@@ -361,20 +362,25 @@ def test_standard_basis_validates_extras():
         standard_basis(["z4", "n4", "z4"])
 
 
-def test_build_program_rejects_asymmetric_columns():
-    with pytest.raises(ValueError, match="'a6' is not symmetric"):
-        build_program([("a6", variable("a") ** 6)])
+def test_build_program_rejects_asymmetric_columns(monkeypatch):
+    # A polynomial column reaches build_program only as orbit totals, and
+    # symmetry.symmetric_totals is the one way to them.
+    with pytest.raises(symmetry.ConstructionError, match="^column 'a6' is not symmetric$"):
+        build_program(orbit_columns([("a6", variable("a") ** 6)]))
     z4 = catalog.z4()
     mono = next(m for m in z4.terms if orbit_canonical(m) != m)
     bumped = Poly({**z4.terms, mono: z4.terms[mono] + 1})
-    assert bumped.is_homogeneous(6)
-    with pytest.raises(ValueError, match="'bumped' is not symmetric"):
-        build_program([("z4", z4), ("bumped", bumped)])
+    assert all(sum(m) == 6 for m in bumped.terms)
+    with pytest.raises(symmetry.ConstructionError, match="'bumped' is not symmetric"):
+        build_program(orbit_columns([("z4", z4), ("bumped", bumped)]))
+    monkeypatch.setattr(catalog, "z4", lambda: bumped)
+    with pytest.raises(symmetry.ConstructionError, match="^column 'z4' is not symmetric$"):
+        standard_basis(["n4", "z4"])
 
 
 def test_t6_program_has_one_row_per_orbit(t6_columns):
     basis = [(catalog.format_alpha(alpha), poly) for alpha, poly in t6_columns]
-    problem = build_program(basis)
+    problem = build_program(orbit_columns(basis))
     assert len(problem.matrix) == len(problem.rhs) == len(problem.monomials) == 32
     assert all(mono == orbit_canonical(mono) for mono in problem.monomials)
     assert len(set(problem.monomials)) == 32
@@ -397,13 +403,13 @@ def test_ceiling_argument_applies_to_standard_columns():
 
 
 def test_ceiling_argument_voids_on_negative_columns():
-    report = upper_bound_check(build_program([("bad", -catalog.p4())]))
+    report = upper_bound_check(build_program(orbit_columns([("bad", -catalog.p4())])))
     assert not report.applicable
     assert report.bound is None
     assert report.negative_columns == ("bad",)
     low = -orbit_sum(variable("a") ** 6)
     report = upper_bound_check(
-        build_program([("ok", catalog.p4()), ("low", low), ("bad", -catalog.p4())])
+        build_program(orbit_columns([("ok", catalog.p4()), ("low", low), ("bad", -catalog.p4())]))
     )
     assert report.negative_columns == ("low", "bad")
 
@@ -434,12 +440,12 @@ def test_ceiling_names_a_fraction_column_just_below_zero():
     assert low.evaluate(WITNESS) == Fraction(-1, TINY)
     assert zero.evaluate(WITNESS) == 0
     report = upper_bound_check(
-        build_program([("zero", zero), ("low", low), ("p4", catalog.p4())])
+        build_program(orbit_columns([("zero", zero), ("low", low), ("p4", catalog.p4())]))
     )
     assert not report.applicable
     assert report.bound is None
     assert report.negative_columns == ("low",)
-    report = upper_bound_check(build_program([("zero", zero), ("p4", catalog.p4())]))
+    report = upper_bound_check(build_program(orbit_columns([("zero", zero), ("p4", catalog.p4())])))
     assert report.applicable and report.bound == 64
 
 
@@ -467,7 +473,7 @@ def witness_columns(draw):
 def test_ceiling_applies_exactly_when_every_column_is_nonnegative(columns):
     assume(not any(column.is_zero() for column in columns))
     basis = [(f"f{i}", column) for i, column in enumerate(columns)]
-    report = upper_bound_check(build_program(basis))
+    report = upper_bound_check(build_program(orbit_columns(basis)))
     values = [column.evaluate(WITNESS) for column in columns]
     assert report.applicable == all(value >= 0 for value in values)
     assert report.negative_columns == tuple(
@@ -476,8 +482,7 @@ def test_ceiling_applies_exactly_when_every_column_is_nonnegative(columns):
 
 
 def test_solution_support_matches_multipliers():
-    gap = catalog.d4() - 64 * catalog.p4()
-    solution = solve(build_program([("gap", gap)]))
+    solution = solve(build_program(gap_basis()))
     assert set(solution.support) == {
         name for name, value in solution.multipliers.items() if value
     }
@@ -489,7 +494,7 @@ def test_program_rows_are_deduplicated():
     # share a row's content (here 17 orbit rows carry 7 distinct contents);
     # phase 1 of the simplex drops the rows that go redundant.
     gap = catalog.d4() - 64 * catalog.p4()
-    problem = build_program([("gap", gap)])
+    problem = build_program(orbit_columns([("gap", gap)]))
     rows, rhs = problem.matrix, problem.rhs
     assert len(rows) == len(rhs) == len(set(problem.monomials))
     support = set(catalog.d4().terms) | set(catalog.p4().terms) | set(gap.terms)
@@ -611,17 +616,19 @@ def _solution_with(objective, multipliers):
 @given(degree_six_polys, coefficients, coefficients)
 @settings(max_examples=80, deadline=None)
 def test_orbit_form_and_poly_form_agree(f, alpha, lam):
+    # The column's row c holds |orbit(c)| times the coefficient of the
+    # written-out polynomial on c, and the combination writes it back out.
     s = orbit_sum(f)
     assume(not s.is_zero())
     v = orbit_totals(s)
     assert average_of_totals(v) == s
-    poly_program, vector_program = build_program([("f", s)]), build_program([("f", v)])
-    assert poly_program == vector_program
-    assert repr(poly_program) == repr(vector_program)
-    assert upper_bound_check(poly_program) == upper_bound_check(vector_program)
+    problem = build_program([("f", v)])
+    assert [row[1] for row in problem.matrix] == [
+        len(orbit(c)) * s.terms.get(c, 0) for c in problem.monomials
+    ]
     solution = _solution_with(alpha, {"f": lam})
-    assert combination_polynomial([("f", s)], solution) == combination_polynomial(
-        [("f", v)], solution
+    assert combination_polynomial([("f", v)], solution) == (
+        catalog.p4().scale(alpha) + s.scale(lam)
     )
 
 
@@ -662,15 +669,18 @@ def test_build_program_rejects_malformed_orbit_vectors(vector, message, monkeypa
 
     monkeypatch.setattr(lp, "_simplex", no_solve)
     with pytest.raises(ValueError, match=message):
-        solve(build_program([("z4", catalog.z4()), ("bad", vector)]))
+        solve(build_program([*orbit_columns([("z4", catalog.z4())]), ("bad", vector)]))
 
 
 @pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
 def test_build_program_refuses_inexact_coefficients(bad):
     canonical = next(iter(orbit_totals(catalog.p4())))
     with pytest.raises(ValueError, match=r"column 'bad' has coefficient .* not an int or Fraction"):
-        build_program([("z4", catalog.z4()), ("bad", {canonical: bad})])
-    # A Poly that bypassed the constructor's check, as Poly._raw allows
-    sneaked = Poly._raw(dict.fromkeys(catalog.p4().terms, bad))
-    with pytest.raises(ValueError, match=r"column 'sneaked' has coefficient .* not an int or Fraction"):
-        build_program([("sneaked", sneaked)])
+        build_program([*orbit_columns([("z4", catalog.z4())]), ("bad", {canonical: bad})])
+
+
+def test_build_program_refuses_a_polynomial_column():
+    # Columns are orbit vectors only; a Poly handed in as one is refused by
+    # name rather than failing inside the row build.
+    with pytest.raises(ValueError, match="^column 'z4' is a Poly, not an orbit vector"):
+        build_program([("z4", catalog.z4())])

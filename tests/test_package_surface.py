@@ -144,6 +144,26 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, int | None, str]]
     return found
 
 
+def _calls(tree: ast.AST) -> list[tuple[str | None, ast.Call]]:
+    """(callee, call) of every call in ``tree``, by the bare name called.
+
+    ``partial(f, *args, **kwargs)`` (or ``functools.partial``) also counts
+    as a call of f with those arguments, so the parameters it binds read
+    as passed.
+    """
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = getattr(func, "id", None) or getattr(func, "attr", None)
+            calls.append((callee, node))
+            if callee == "partial" and node.args:
+                func, *args = node.args
+                bound = ast.Call(func=func, args=args, keywords=node.keywords)
+                calls.append((getattr(func, "id", None) or getattr(func, "attr", None), bound))
+    return calls
+
+
 def _passes(call: ast.Call, position: int | None, name: str) -> bool:
     if any(kw.arg in (name, None) for kw in call.keywords):
         return True
@@ -157,11 +177,7 @@ def test_every_defaulted_parameter_is_passed_or_pinned():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parameters += _defaulted_parameters(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                callee = getattr(func, "id", None) or getattr(func, "attr", None)
-                calls.append((callee, node))
+        calls += _calls(tree)
     assert parameters
     unpassed = {
         f"{callee}.{name}"
@@ -169,6 +185,20 @@ def test_every_defaulted_parameter_is_passed_or_pinned():
         if not any(c == callee and _passes(call, position, name) for c, call in calls)
     }
     assert unpassed == set(KEPT_DEFAULTS)
+
+
+def test_a_partial_passes_the_arguments_it_binds():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2): pass\n"
+        "partial(f, 0, 5)\n"
+        "functools.partial(mod.f, c=3)\n"
+        "partial(f)\n"
+        "partial(g, 0, 5)\n"
+    )
+    assert _defaulted_parameters(tree) == [("f", 1, "b"), ("f", None, "c")]
+    bound = [call for callee, call in _calls(tree) if callee == "f"]
+    assert [_passes(call, 1, "b") for call in bound] == [True, False, False]
+    assert [_passes(call, None, "c") for call in bound] == [False, True, False]
 
 
 def test_no_function_only_returns_a_constant():

@@ -13,6 +13,7 @@ from atiyah4.polyring import Poly, mono_key, variable, variables
 from atiyah4.symmetry import (
     GROUP_ORDER,
     ROWS,
+    ConstructionError,
     OrbitTable,
     SIGNS,
     apply_perm,
@@ -27,6 +28,7 @@ from atiyah4.symmetry import (
     product_totals,
     self_test,
     sym_average,
+    symmetric_totals,
 )
 
 monos = st.tuples(*[st.integers(min_value=0, max_value=3)] * 6)
@@ -336,14 +338,14 @@ def test_product_totals_are_the_totals_of_the_expanded_product(deg_f, deg_g, dat
     f = data.draw(forms(deg_f))
     h = data.draw(forms(deg_g))
     g = data.draw(st.sampled_from([sym_average(h), orbit_sum(h)]))
-    assert product_totals(orbit_totals(f), g) == orbit_totals(f * g)
+    assert product_totals(orbit_totals(f), orbit_totals(g)) == orbit_totals(f * g)
 
 
 @given(mixed_polys(max_terms=4), mixed_polys(max_terms=3))
 @settings(max_examples=80, deadline=None)
 def test_product_totals_of_mixed_degrees(f, h):
     g = sym_average(h)
-    totals = product_totals(orbit_totals(f), g)
+    totals = product_totals(orbit_totals(f), orbit_totals(g))
     assert totals == orbit_totals(f * g)
     assert all(total and (type(total) is int or total.denominator != 1)
                for total in totals.values())
@@ -351,14 +353,29 @@ def test_product_totals_of_mixed_degrees(f, h):
 
 def test_product_totals_of_zero_factors_are_empty():
     a = variable("a")
-    assert product_totals({}, orbit_sum(a)) == {}
-    assert product_totals(orbit_totals(a), Poly({})) == {}
-    assert product_totals(orbit_totals(a - variable("b")), orbit_sum(a)) == {}
+    assert product_totals({}, orbit_totals(orbit_sum(a))) == {}
+    assert product_totals(orbit_totals(a), {}) == {}
+    assert product_totals(orbit_totals(a - variable("b")), orbit_totals(orbit_sum(a))) == {}
 
 
-def test_product_totals_need_a_symmetric_g():
-    # f = b has the totals of a, so with the asymmetric g = a the orbit of
-    # a^2 is credited where the product b a lies in the orbit of a b.
+@given(mixed_polys(max_terms=4), mixed_polys(max_terms=4))
+@settings(max_examples=120, deadline=None)
+def test_product_totals_write_g_out_from_its_totals(f, h):
+    # Neither factor need be symmetric: g's totals stand for their
+    # symmetric average, so the product is the one with that average.
+    # Zero factors and mixed degrees are drawn too.
+    g_totals = orbit_totals(h)
+    expected = orbit_totals(f * average_of_totals(g_totals))
+    assert product_totals(orbit_totals(f), g_totals) == expected
+
+
+def test_symmetric_totals_refuse_a_skewed_input_by_its_label():
     a, b = variable("a"), variable("b")
-    assert orbit_totals(b * a) == {orbit_canonical((1, 1, 0, 0, 0, 0)): 1}
-    assert product_totals(orbit_totals(b), a) == {(2, 0, 0, 0, 0, 0): 1}
+    symmetric = orbit_sum(a * b)
+    assert symmetric_totals("ab orbit", symmetric) == orbit_totals(symmetric)
+    assert symmetric_totals("zero", Poly({})) == {}
+    # a - b has zero totals: only the symmetry check tells it from 0.
+    for skewed in (a, a - b, symmetric + a**2 - b**2):
+        with pytest.raises(ConstructionError, match="^skewed side is not symmetric$"):
+            symmetric_totals("skewed side", skewed)
+    assert issubclass(ConstructionError, ValueError)
